@@ -61,8 +61,8 @@ struct SimConfig {
   /// access itself runs unmodified (faulting only if the load is late).
   std::uint32_t sip_lookahead = 0;
   /// Run the driver's structural invariant check (page table / EPC /
-  /// bitmap agreement) after the trace completes. O(ELRANGE); meant for
-  /// tests.
+  /// bitmap agreement) after the trace completes. O(ELRANGE/64 + resident
+  /// pages).
   bool validate = false;
   /// Fraction of channel-busy time added to overlapping enclave compute:
   /// the encrypted page copies of ELDU/EWB contend with the application for

@@ -50,6 +50,8 @@ const char* to_string(Phase p) noexcept {
       return "fleet_recover";
     case Phase::kFleetEvacuate:
       return "fleet_evacuate";
+    case Phase::kWatchdog:
+      return "watchdog";
   }
   return "?";
 }

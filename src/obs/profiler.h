@@ -59,9 +59,10 @@ enum class Phase : std::uint8_t {
   kElasticRebalance, // elastic EPC AIMD quota rebalance on the scan tick
   kFleetRecover,     // supervisor: salvage-restore + replay of a crashed host
   kFleetEvacuate,    // supervisor: tenant evacuation off a failing host
+  kWatchdog,         // driver's online invariant sweep (check_invariants)
 };
 
-inline constexpr std::size_t kPhaseCount = 20;
+inline constexpr std::size_t kPhaseCount = 21;
 
 const char* to_string(Phase p) noexcept;
 

@@ -47,6 +47,11 @@ class PresenceBitmap {
   /// Number of set bits (for invariant checks against the page table).
   std::uint64_t popcount() const noexcept;
 
+  /// The packed bits, page p at bit (p & 63) of word p >> 6 (the layout of
+  /// PageTable::present_words(), so the watchdog can compare them a word at
+  /// a time).
+  const std::vector<std::uint64_t>& words() const noexcept { return words_; }
+
   /// Checkpoint/restore. load() requires a bitmap constructed for the same
   /// number of pages as the one saved.
   void save(snapshot::Writer& w) const;

@@ -1,6 +1,7 @@
 #include "sgxsim/driver.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/check.h"
@@ -554,7 +555,10 @@ void Driver::watchdog_tick(Cycles now) {
       scans_since_watchdog_ < config_.watchdog_scan_interval) {
     return;
   }
-  check_invariants();
+  {
+    obs::ScopedSpan span(prof_, obs::Phase::kWatchdog);
+    check_invariants();
+  }
   ++stats_.watchdog_checks;
   if (log_ != nullptr) {
     log_->record({.at = now, .type = EventType::kWatchdog,
@@ -1116,35 +1120,107 @@ void Driver::evict_page(PageNum victim) {
   }
 }
 
+namespace {
+
+// Set bits of the packed bitset `words` in the page range [lo, hi).
+std::uint64_t count_bits(const std::vector<std::uint64_t>& words, PageNum lo,
+                         PageNum hi) {
+  std::uint64_t n = 0;
+  while (lo < hi) {
+    const PageNum end = std::min(hi, ((lo >> 6) + 1) << 6);
+    std::uint64_t bits = words[lo >> 6] >> (lo & 63);
+    if (end - lo < 64) {
+      bits &= (1ull << (end - lo)) - 1;
+    }
+    n += static_cast<std::uint64_t>(std::popcount(bits));
+    lo = end;
+  }
+  return n;
+}
+
+}  // namespace
+
 void Driver::check_invariants() const {
-  SGXPL_CHECK(page_table_.resident_count() == epc_.used());
-  SGXPL_CHECK(bitmap_.popcount() == epc_.used());
+  SGXPL_CHECK_MSG(page_table_.resident_count() == epc_.used(),
+                  "page table holds " << page_table_.resident_count()
+                      << " resident pages but the EPC holds "
+                      << epc_.used());
+  SGXPL_CHECK_MSG(bitmap_.popcount() == epc_.used(),
+                  "presence bitmap holds " << bitmap_.popcount()
+                      << " pages but the EPC holds " << epc_.used());
+  // Per page: present => it owns a slot holding it, its bitmap bit is set
+  // and (elastic EPC engaged) it lies in a tenant's range; absent => its
+  // bitmap bit is clear. Evaluated a 64-page word at a time: a word of
+  // pages all present and marked needs only the slot clause; otherwise
+  // only pages set in either bitset can fail, so exactly those are visited,
+  // in ascending order. A page failing the branch-free conjunction is
+  // re-checked clause by clause, which throws naming the first violated
+  // clause. No bitmap bit past ELRANGE is reached: by the popcount check
+  // above, some in-range present page would then lack its bit first.
+  const std::vector<std::uint64_t>& present_words =
+      page_table_.present_words();
+  const std::vector<std::uint64_t>& bitmap_words = bitmap_.words();
+  const PageNum tenant_end = elastic_engaged_
+                                 ? elastic_.hi(elastic_.tenant_count() - 1)
+                                 : config_.elrange_pages;
+  const PageNum capacity = epc_.capacity();
+  const auto slot_holds = [&](PageNum p) {
+    const SlotIndex slot = page_table_.entry(p).slot;
+    const bool in_range = slot < capacity;
+    return in_range & (epc_.page_at(in_range ? slot : 0) == p);
+  };
   std::uint64_t present = 0;
-  std::vector<PageNum> resident_by_tenant(
-      elastic_engaged_ ? elastic_.tenant_count() : 0, 0);
-  for (PageNum p = 0; p < config_.elrange_pages; ++p) {
-    const auto& e = page_table_.entry(p);
-    if (e.present) {
-      ++present;
-      SGXPL_CHECK(e.slot != kInvalidSlot);
-      SGXPL_CHECK_MSG(epc_.page_at(e.slot) == p,
-                      "slot " << e.slot << " does not hold page " << p);
-      SGXPL_CHECK(bitmap_.test(p));
-      if (elastic_engaged_) {
-        ++resident_by_tenant[elastic_.owner(p)];
+  for (std::size_t w = 0; w < present_words.size(); ++w) {
+    const std::uint64_t in_table = present_words[w];
+    const std::uint64_t in_bitmap = bitmap_words[w];
+    const std::uint64_t marked = in_table & in_bitmap;
+    const PageNum base = PageNum{w} << 6;
+    present += static_cast<std::uint64_t>(std::popcount(in_table));
+    if (marked == ~0ull && base + 64 <= tenant_end) {
+      bool ok = true;
+      for (PageNum p = base; p < base + 64; ++p) {
+        ok &= slot_holds(p);
       }
-    } else {
-      SGXPL_CHECK(!bitmap_.test(p));
+      if (ok) {
+        continue;
+      }
+    }
+    for (std::uint64_t bits = in_table | in_bitmap; bits != 0;
+         bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      const PageNum p = base + static_cast<PageNum>(b);
+      const bool is_marked = ((marked >> b) & 1u) != 0;
+      if (is_marked & slot_holds(p) & (p < tenant_end)) {
+        continue;
+      }
+      SGXPL_CHECK_MSG((in_table >> b) & 1u,
+                      "page " << p
+                              << " is in the presence bitmap but not "
+                                 "resident");
+      const SlotIndex slot = page_table_.entry(p).slot;
+      SGXPL_CHECK_MSG(slot != kInvalidSlot,
+                      "present page " << p << " has no EPC slot");
+      SGXPL_CHECK_MSG(epc_.page_at(slot) == p,
+                      "slot " << slot << " does not hold page " << p);
+      SGXPL_CHECK_MSG((in_bitmap >> b) & 1u,
+                      "present page " << p
+                                      << " is missing from the presence "
+                                         "bitmap");
+      SGXPL_CHECK_MSG(p < tenant_end,
+                      "page " << p << " outside every elastic tenant range");
     }
   }
-  SGXPL_CHECK(present == epc_.used());
+  SGXPL_CHECK_MSG(present == epc_.used(),
+                  "page table marks " << present
+                      << " pages present but the EPC holds " << epc_.used());
   if (elastic_engaged_) {
-    for (std::size_t t = 0; t < resident_by_tenant.size(); ++t) {
-      SGXPL_CHECK_MSG(resident_by_tenant[t] == elastic_.resident(t),
+    for (std::size_t t = 0; t < elastic_.tenant_count(); ++t) {
+      const std::uint64_t held =
+          count_bits(present_words, elastic_.lo(t), elastic_.hi(t));
+      SGXPL_CHECK_MSG(held == elastic_.resident(t),
                       "elastic resident count for tenant "
                           << t << " is " << elastic_.resident(t)
-                          << " but the page table holds "
-                          << resident_by_tenant[t]);
+                          << " but the page table holds " << held);
     }
     elastic_.check_conservation();
   }

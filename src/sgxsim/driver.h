@@ -74,7 +74,7 @@ struct EnclaveConfig {
   EvictionKind eviction = EvictionKind::kClock;
   /// Online watchdog: run check_invariants() every N service-thread scans
   /// and at every chaos-injection boundary (0 = off). Each sweep is
-  /// O(ELRANGE); meant for chaos runs and tests, not performance runs.
+  /// O(ELRANGE/64 + resident pages).
   std::uint64_t watchdog_scan_interval = 0;
   /// Overload hardening: queue bound, op deadlines, lost-completion retry.
   /// Defaults (unbounded, retries off) reproduce the seed behavior.

@@ -49,11 +49,6 @@ void Epc::release(SlotIndex slot) {
   mark_dirty(slot);
 }
 
-PageNum Epc::page_at(SlotIndex slot) const {
-  SGXPL_CHECK(slot < capacity_);
-  return slot_to_page_[slot];
-}
-
 PageNum Epc::choose_victim(PageTable& pt, PageNum pinned) {
   SGXPL_CHECK_MSG(used_ > 0, "no occupied EPC slot to evict");
   // At most two full sweeps: the first may clear every access bit, the

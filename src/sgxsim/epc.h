@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "sgxsim/page_table.h"
 #include "snapshot/fwd.h"
@@ -36,7 +37,10 @@ class Epc {
   void release(SlotIndex slot);
 
   /// Page currently held by a slot (kInvalidPage if free).
-  PageNum page_at(SlotIndex slot) const;
+  PageNum page_at(SlotIndex slot) const {
+    SGXPL_CHECK(slot < capacity_);
+    return slot_to_page_[slot];
+  }
 
   /// CLOCK second-chance victim selection: sweep from the hand, clearing
   /// access bits of occupied slots via the page table; the first occupied

@@ -8,6 +8,7 @@ namespace sgxpl::sgxsim {
 
 PageTable::PageTable(PageNum elrange_pages)
     : size_(elrange_pages), entries_(elrange_pages),
+      present_((elrange_pages + 63) / 64, 0),
       dirty_flag_(elrange_pages, false) {
   SGXPL_CHECK_MSG(elrange_pages > 0, "ELRANGE must contain at least one page");
 }
@@ -22,9 +23,9 @@ void PageTable::mark_dirty(PageNum page) {
 
 void PageTable::map(PageNum page, SlotIndex slot, bool via_preload) {
   auto& e = mutable_entry(page);
-  SGXPL_CHECK_MSG(!e.present, "double map of page " << page);
+  SGXPL_CHECK_MSG(!present(page), "double map of page " << page);
+  set_present(page, true);
   e.slot = slot;
-  e.present = true;
   e.accessed = false;
   e.preloaded = via_preload;
   ++resident_;
@@ -33,23 +34,14 @@ void PageTable::map(PageNum page, SlotIndex slot, bool via_preload) {
 
 PageTableEntry PageTable::unmap(PageNum page) {
   auto& e = mutable_entry(page);
-  SGXPL_CHECK_MSG(e.present, "unmap of non-resident page " << page);
+  SGXPL_CHECK_MSG(present(page), "unmap of non-resident page " << page);
   const PageTableEntry prior = e;
   e = PageTableEntry{};
+  set_present(page, false);
   SGXPL_CHECK(resident_ > 0);
   --resident_;
   mark_dirty(page);
   return prior;
-}
-
-bool PageTable::touch(PageNum page) {
-  auto& e = mutable_entry(page);
-  SGXPL_DCHECK(e.present);
-  const bool first = e.preloaded;
-  if (!e.accessed || e.preloaded) mark_dirty(page);
-  e.accessed = true;
-  e.preloaded = false;
-  return first;
 }
 
 bool PageTable::test_and_clear_accessed(PageNum page) {
@@ -65,19 +57,30 @@ namespace {
 constexpr std::uint64_t kPresentBit = 1ull << 32;
 constexpr std::uint64_t kAccessedBit = 1ull << 33;
 constexpr std::uint64_t kPreloadedBit = 1ull << 34;
+
+std::uint64_t pack(const PageTableEntry& e, bool present) {
+  std::uint64_t v = e.slot;
+  if (present) v |= kPresentBit;
+  if (e.accessed) v |= kAccessedBit;
+  if (e.preloaded) v |= kPreloadedBit;
+  return v;
+}
+
+PageTableEntry unpack(std::uint64_t v) {
+  PageTableEntry e;
+  e.slot = static_cast<SlotIndex>(v & 0xFFFFFFFFull);
+  e.accessed = (v & kAccessedBit) != 0;
+  e.preloaded = (v & kPreloadedBit) != 0;
+  return e;
+}
 }  // namespace
 
 void PageTable::save(snapshot::Writer& w) const {
   w.u64("pt.pages", size_);
   w.u64("pt.resident", resident_);
-  std::vector<std::uint64_t> packed;
-  packed.reserve(entries_.size());
-  for (const auto& e : entries_) {
-    std::uint64_t v = e.slot;
-    if (e.present) v |= kPresentBit;
-    if (e.accessed) v |= kAccessedBit;
-    if (e.preloaded) v |= kPreloadedBit;
-    packed.push_back(v);
+  std::vector<std::uint64_t> packed(entries_.size());
+  for (PageNum p = 0; p < size_; ++p) {
+    packed[p] = pack(entries_[p], present(p));
   }
   w.u64_vec("pt.entries", packed);
 }
@@ -93,14 +96,11 @@ void PageTable::load(snapshot::Reader& r) {
                   "snapshot page table entry count " << packed.size()
                       << " does not match ELRANGE size " << entries_.size());
   std::uint64_t check_resident = 0;
-  for (std::size_t i = 0; i < packed.size(); ++i) {
-    PageTableEntry e;
-    e.slot = static_cast<SlotIndex>(packed[i] & 0xFFFFFFFFull);
-    e.present = (packed[i] & kPresentBit) != 0;
-    e.accessed = (packed[i] & kAccessedBit) != 0;
-    e.preloaded = (packed[i] & kPreloadedBit) != 0;
-    if (e.present) ++check_resident;
-    entries_[i] = e;
+  for (PageNum p = 0; p < size_; ++p) {
+    entries_[p] = unpack(packed[p]);
+    const bool on = (packed[p] & kPresentBit) != 0;
+    set_present(p, on);
+    if (on) ++check_resident;
   }
   SGXPL_CHECK_MSG(check_resident == resident,
                   "snapshot page table is inconsistent: " << check_resident
@@ -124,12 +124,7 @@ void PageTable::save_delta(snapshot::Writer& w) const {
   std::vector<std::uint64_t> packed;
   packed.reserve(dirty.size());
   for (const std::uint64_t page : dirty) {
-    const PageTableEntry& e = entries_[page];
-    std::uint64_t v = e.slot;
-    if (e.present) v |= kPresentBit;
-    if (e.accessed) v |= kAccessedBit;
-    if (e.preloaded) v |= kPreloadedBit;
-    packed.push_back(v);
+    packed.push_back(pack(entries_[page], present(page)));
   }
   w.u64_vec("pt.delta_entries", packed);
 }
@@ -147,19 +142,16 @@ void PageTable::apply_delta(snapshot::Reader& r) {
                   "snapshot page-table delta holds " << packed.size()
                       << " entries for " << ids.size() << " pages");
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    PageTableEntry e;
-    e.slot = static_cast<SlotIndex>(packed[i] & 0xFFFFFFFFull);
-    e.present = (packed[i] & kPresentBit) != 0;
-    e.accessed = (packed[i] & kAccessedBit) != 0;
-    e.preloaded = (packed[i] & kPreloadedBit) != 0;
     const PageNum page = ids[i];
-    if (entries_[page].present && !e.present) {
+    const bool on = (packed[i] & kPresentBit) != 0;
+    if (present(page) && !on) {
       SGXPL_CHECK(resident_ > 0);
       --resident_;
-    } else if (!entries_[page].present && e.present) {
+    } else if (!present(page) && on) {
       ++resident_;
     }
-    entries_[page] = e;
+    entries_[page] = unpack(packed[i]);
+    set_present(page, on);
     mark_dirty(page);
   }
   SGXPL_CHECK_MSG(resident_ == resident,

@@ -1,9 +1,10 @@
 // The enclave's page table as seen by the untrusted OS.
 //
-// One entry per ELRANGE page. Tracks residency (present in EPC), the slot
-// the page occupies, the hardware-set access bit the driver's service thread
-// scans, and whether the page arrived via a preload (DFP bookkeeping,
-// §4.2 of the paper).
+// One entry per ELRANGE page: the slot the page occupies, the hardware-set
+// access bit the driver's service thread scans, and whether the page arrived
+// via a preload (DFP bookkeeping, §4.2 of the paper). Residency (present in
+// EPC) lives in a packed bitset beside the entries, one bit per page, so the
+// watchdog can sweep it a 64-page word at a time.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,6 @@ namespace sgxpl::sgxsim {
 
 struct PageTableEntry {
   SlotIndex slot = kInvalidSlot;
-  bool present = false;
   /// Set by "hardware" on every access to a resident page; cleared by the
   /// CLOCK eviction hand and consumed by the service-thread scan.
   bool accessed = false;
@@ -37,7 +37,16 @@ class PageTable {
     return entries_[page];
   }
 
-  bool present(PageNum page) const { return entry(page).present; }
+  bool present(PageNum page) const {
+    SGXPL_DCHECK(page < size_);
+    return (present_[page >> 6] >> (page & 63)) & 1u;
+  }
+
+  /// The residency bitset: bit (p & 63) of word p >> 6 is set while page p
+  /// is present. Bits at or above elrange_pages() are always clear.
+  const std::vector<std::uint64_t>& present_words() const noexcept {
+    return present_;
+  }
 
   /// Record that `page` now occupies `slot`.
   void map(PageNum page, SlotIndex slot, bool via_preload);
@@ -47,8 +56,17 @@ class PageTable {
   PageTableEntry unmap(PageNum page);
 
   /// Hardware access-bit set on a regular access. Returns true if this is
-  /// the first access since the page was (pre)loaded.
-  bool touch(PageNum page);
+  /// the first access since the page was (pre)loaded. Inline: the driver's
+  /// resident fast path runs it on every hit, right after present().
+  bool touch(PageNum page) {
+    SGXPL_DCHECK(present(page));
+    auto& e = mutable_entry(page);
+    const bool first = e.preloaded;
+    if (!e.accessed || e.preloaded) mark_dirty(page);
+    e.accessed = true;
+    e.preloaded = false;
+    return first;
+  }
 
   /// CLOCK second-chance: clears the access bit, returns its prior value.
   bool test_and_clear_accessed(PageNum page);
@@ -77,9 +95,18 @@ class PageTable {
   }
 
   void mark_dirty(PageNum page);
+  void set_present(PageNum page, bool on) {
+    const std::uint64_t bit = 1ull << (page & 63);
+    if (on) {
+      present_[page >> 6] |= bit;
+    } else {
+      present_[page >> 6] &= ~bit;
+    }
+  }
 
   PageNum size_;
   std::vector<PageTableEntry> entries_;
+  std::vector<std::uint64_t> present_;
   std::uint64_t resident_ = 0;
   std::uint64_t gen_ = 0;
   std::vector<std::uint64_t> dirty_list_;

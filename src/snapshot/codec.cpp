@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -15,16 +16,53 @@ namespace sgxpl::snapshot {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: t[0] is the classic bytewise table; t[k][b] is the
+// CRC of byte b followed by k zero bytes, so eight table lookups advance the
+// CRC over eight input bytes at once.
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32cTables make_crc32c_tables() {
+  Crc32cTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32cTables kCrc32cTables = make_crc32c_tables();
+
+// Little-endian integer <-> bytes, independent of the host byte order.
+template <typename T>
+void store_le(std::uint8_t* out, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+template <typename T>
+T load_le(const std::uint8_t* in) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, in, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      v = static_cast<T>(v | static_cast<T>(in[i]) << (8 * i));
+    }
+  }
+  return v;
 }
 
 std::string quoted(std::string_view s) {
@@ -37,10 +75,17 @@ std::string quoted(std::string_view s) {
 }  // namespace
 
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t len) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc32c_table();
+  const Crc32cTables& t = kCrc32cTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    const std::uint32_t lo = crc ^ load_le<std::uint32_t>(data);
+    const std::uint32_t hi = load_le<std::uint32_t>(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -65,35 +110,24 @@ const char* to_string(FieldType t) noexcept {
 // Writer
 // ---------------------------------------------------------------------------
 
-void Writer::put_u16(std::uint16_t v) {
-  put_u8(static_cast<std::uint8_t>(v & 0xFFu));
-  put_u8(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
+std::uint8_t* Writer::grow(std::size_t n) {
+  const std::size_t at = bytes_.size();
+  bytes_.resize(at + n);
+  return bytes_.data() + at;
 }
 
-void Writer::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-  }
-}
+void Writer::put_u16(std::uint16_t v) { store_le(grow(2), v); }
 
-void Writer::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-  }
-}
+void Writer::put_u32(std::uint32_t v) { store_le(grow(4), v); }
+
+void Writer::put_u64(std::uint64_t v) { store_le(grow(8), v); }
 
 void Writer::patch_u32(std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    bytes_[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu);
-  }
+  store_le(bytes_.data() + at, v);
 }
 
 void Writer::patch_u64(std::size_t at, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes_[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu);
-  }
+  store_le(bytes_.data() + at, v);
 }
 
 void Writer::begin_section(std::string_view tag) {
@@ -172,7 +206,11 @@ void Writer::u64_vec(std::string_view label,
                      const std::vector<std::uint64_t>& v) {
   field_header(FieldType::kU64Vec, label);
   put_u64(static_cast<std::uint64_t>(v.size()));
-  for (std::uint64_t x : v) put_u64(x);
+  std::uint8_t* out = grow(v.size() * 8);
+  for (const std::uint64_t x : v) {
+    store_le(out, x);
+    out += 8;
+  }
 }
 
 void Writer::field(const FieldView& f) {
@@ -229,12 +267,15 @@ void Reader::corrupt(const std::string& why) const {
   throw CheckFailure(where + ": " + why);
 }
 
+std::size_t Reader::remaining() const noexcept {
+  return (section_tag_.empty() ? size_ : section_end_) - pos_;
+}
+
 void Reader::need(std::size_t n, const char* what) const {
-  const std::size_t limit = section_tag_.empty() ? size_ : section_end_;
-  if (pos_ + n > limit) {
+  if (n > remaining()) {
     std::ostringstream os;
     os << "truncated while reading " << what << " (need " << n
-       << " bytes at offset " << pos_ << ", have " << (limit - pos_) << ")";
+       << " bytes at offset " << pos_ << ", have " << remaining() << ")";
     corrupt(os.str());
   }
 }
@@ -246,32 +287,21 @@ std::uint8_t Reader::take_u8() {
 
 std::uint16_t Reader::take_u16() {
   need(2, "a u16");
-  std::uint16_t v = static_cast<std::uint16_t>(
-      static_cast<std::uint16_t>(data_[pos_]) |
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>(data_[pos_ + 1])
-                                 << 8));
+  const auto v = load_le<std::uint16_t>(data_ + pos_);
   pos_ += 2;
   return v;
 }
 
 std::uint32_t Reader::take_u32() {
   need(4, "a u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
+  const auto v = load_le<std::uint32_t>(data_ + pos_);
   pos_ += 4;
   return v;
 }
 
 std::uint64_t Reader::take_u64() {
   need(8, "a u64");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
+  const auto v = load_le<std::uint64_t>(data_ + pos_);
   pos_ += 8;
   return v;
 }
@@ -408,9 +438,20 @@ FieldView Reader::next_field() {
     }
     case FieldType::kU64Vec: {
       const std::uint64_t n = take_u64();
-      need(static_cast<std::size_t>(n) * 8, "a u64-vec field value");
-      f.vecv.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) f.vecv.push_back(take_u64());
+      // Bound the frame's element count by the bytes left before it is
+      // multiplied or allocated: n * 8 wraps for n >= 2^61.
+      if (n > remaining() / 8) {
+        std::ostringstream os;
+        os << "u64-vec field " << quoted(f.label) << " declares " << n
+           << " elements but only " << remaining()
+           << " bytes remain at offset " << pos_;
+        corrupt(os.str());
+      }
+      f.vecv.resize(static_cast<std::size_t>(n));
+      for (std::uint64_t& x : f.vecv) {
+        x = load_le<std::uint64_t>(data_ + pos_);
+        pos_ += 8;
+      }
       break;
     }
   }

@@ -38,7 +38,8 @@ inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::uint32_t kMinReadVersion = 1;
 inline constexpr std::string_view kMagic = "SGXPLSNP";
 
-/// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), software table.
+/// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), portable
+/// slicing-by-8 software tables.
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t len) noexcept;
 
 enum class FieldType : std::uint8_t {
@@ -82,6 +83,8 @@ class Writer {
  private:
   void field_header(FieldType type, std::string_view label);
   void put_bytes(std::string_view s);
+  /// Append `n` zero bytes and return a pointer to the first of them.
+  std::uint8_t* grow(std::size_t n);
   void put_u8(std::uint8_t v) { bytes_.push_back(v); }
   void put_u16(std::uint16_t v);
   void put_u32(std::uint32_t v);
@@ -157,6 +160,8 @@ class Reader {
   std::uint16_t take_u16();
   std::uint32_t take_u32();
   std::uint64_t take_u64();
+  /// Bytes left in the open section (or the whole frame outside one).
+  std::size_t remaining() const noexcept;
   void need(std::size_t n, const char* what) const;
   FieldView expect(FieldType type, std::string_view label);
 

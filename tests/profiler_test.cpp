@@ -23,6 +23,12 @@ TEST(PhaseTest, ToStringParseRoundTrip) {
   EXPECT_FALSE(parse_phase("").has_value());
 }
 
+TEST(PhaseTest, WatchdogIsTheLastPhase) {
+  EXPECT_STREQ(to_string(Phase::kWatchdog), "watchdog");
+  EXPECT_EQ(parse_phase("watchdog"), Phase::kWatchdog);
+  EXPECT_EQ(static_cast<std::size_t>(Phase::kWatchdog) + 1, kPhaseCount);
+}
+
 TEST(ProfilerTest, SpanNestingBuildsTree) {
   Profiler prof;
   prof.set_enabled(true);
@@ -284,6 +290,36 @@ TEST(ProfilerTest, ProfiledRunMatchesUnprofiledMetrics) {
   EXPECT_EQ(plain.total_cycles, profiled.total_cycles);
   EXPECT_EQ(plain.driver.faults, profiled.driver.faults);
   EXPECT_EQ(plain.driver.preloads_issued, profiled.driver.preloads_issued);
+}
+
+/// Total span count of `phase` anywhere under `nodes`.
+std::uint64_t count_phase(const std::vector<PhaseProfile::Node>& nodes,
+                          Phase phase) {
+  std::uint64_t n = 0;
+  for (const auto& node : nodes) {
+    if (node.phase == phase) {
+      n += node.count;
+    }
+    n += count_phase(node.children, phase);
+  }
+  return n;
+}
+
+TEST(ProfilerTest, WatchdogSweepsAreAttributed) {
+  const auto* w = trace::find_workload("lbm");
+  ASSERT_NE(w, nullptr);
+  const auto t = w->make(trace::WorkloadParams{.scale = 0.02, .seed = 5});
+  core::SimConfig cfg = core::paper_platform(core::Scheme::kDfp);
+  cfg.enclave.epc_pages = 600;
+  cfg.enclave.watchdog_scan_interval = 2;
+  Profiler prof;
+  prof.set_enabled(true);
+  cfg.profiler = &prof;
+  const auto m = core::simulate(t, cfg);
+  ASSERT_GT(m.driver.watchdog_checks, 0u);
+  // One watchdog span per online sweep.
+  EXPECT_EQ(count_phase(prof.profile().roots, Phase::kWatchdog),
+            m.driver.watchdog_checks);
 }
 
 }  // namespace

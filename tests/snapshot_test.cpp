@@ -72,6 +72,33 @@ TEST(SnapshotCodec, Crc32cMatchesTheCastagnoliCheckVector) {
   EXPECT_EQ(snapshot::crc32c(nullptr, 0), 0u);
 }
 
+TEST(SnapshotCodec, Crc32cSlicingMatchesABytewiseReference) {
+  // Bit-at-a-time CRC32C: no tables, so it shares nothing with the codec's
+  // slicing-by-8 path but the polynomial.
+  const auto reference = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  Rng rng(0xC5C32C);
+  std::vector<std::uint8_t> buf(1024 + 8);
+  for (auto& b : buf) {
+    b = static_cast<std::uint8_t>(rng.next());
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(snapshot::crc32c(buf.data() + offset, len),
+                reference(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(SnapshotCodec, RoundTripsEveryFieldType) {
   const auto frame = sample_frame();
   Reader r(frame);
@@ -236,6 +263,42 @@ TEST(SnapshotCorruption, EveryTruncationIsDetected) {
                                             static_cast<std::ptrdiff_t>(n));
     EXPECT_THROW(decode_all(cut), CheckFailure) << "length " << n;
   }
+}
+
+TEST(SnapshotCorruption, WrappingU64VecCountIsATypedError) {
+  // A one-element vector whose count is rewritten to 2^61 + 1, with the
+  // section CRC recomputed: count * 8 wraps to 8, exactly the bytes present.
+  Writer w;
+  w.begin_section("VVVV");
+  w.u64_vec("v", {7});
+  w.end_section();
+  auto bytes = w.finish();
+  constexpr std::size_t kSectionAt = 16;  // magic + version + count
+  constexpr std::size_t kPayloadAt = kSectionAt + 4 + 8 + 4;
+  constexpr std::size_t kCountAt = kPayloadAt + 1 + 2 + 1;  // type, len, "v"
+  const std::uint64_t count = (1ull << 61) + 1;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[kCountAt + i] = static_cast<std::uint8_t>(count >> (8 * i));
+  }
+  const std::uint32_t crc =
+      snapshot::crc32c(bytes.data() + kPayloadAt, bytes.size() - kPayloadAt);
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[kSectionAt + 12 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  ASSERT_TRUE(snapshot::probe_frame(bytes).ok)
+      << "the crafted frame must be CRC-valid";
+  Reader r(bytes);
+  r.enter_section("VVVV");
+  try {
+    r.u64_vec("v");
+    FAIL() << "a wrapping element count was accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("declares 2305843009213693953 "
+                                         "elements but only 8 bytes remain"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(decode_all(bytes), CheckFailure);
 }
 
 TEST(SnapshotCorruption, ReorderedSectionsAreRejectedByStrictReads) {
