@@ -2,9 +2,7 @@
 //
 //   snapshot_tool info <file>                 header, chain position, META,
 //                                             per-section payload sizes
-//   snapshot_tool upgrade <in.v1> <out.v2>    rewrite a format-v1 frame as
-//                                             the equivalent v2 base frame
-//   snapshot_tool extract <n> <in> <out>      lift enclave <n> out of a v2
+//   snapshot_tool extract <n> <in> <out>      lift enclave <n> out of a
 //                                             multi-enclave frame as a
 //                                             standalone snapshot
 //   snapshot_tool migrate <in> <n> <out> [<lo> <pages> <accesses>]
@@ -39,8 +37,9 @@
 //
 // Every command works on files alone — no simulation run is needed, so a
 // snapshot from a dead service can be examined on any machine with this
-// build. Every failure (unreadable file, corrupt frame, wrong version, bad
-// argument) exits nonzero with a one-line `error:` diagnostic; no input
+// build. Every command reads format v2 only; a frame of any other version
+// is refused as "unsupported format version N". Every failure (unreadable
+// file, corrupt frame, wrong version, bad argument) exits nonzero with a one-line `error:` diagnostic; no input
 // may abort or crash the process. See docs/ROBUSTNESS.md, "Snapshot format
 // v2" and "Live migration & torn-chain salvage".
 #include <cstdio>
@@ -52,7 +51,6 @@
 #include "common/check.h"
 #include "snapshot/chain.h"
 #include "snapshot/codec.h"
-#include "snapshot/migrate.h"
 #include "snapshot/snapshotter.h"
 
 using namespace sgxpl;
@@ -62,7 +60,6 @@ namespace {
 int usage() {
   std::cerr
       << "usage: snapshot_tool info <file>\n"
-         "       snapshot_tool upgrade <in.v1> <out.v2>\n"
          "       snapshot_tool extract <enclave> <in> <out>\n"
          "       snapshot_tool migrate <in> <enclave> <out> [<lo> <pages> "
          "<accesses>]\n"
@@ -91,24 +88,17 @@ std::uint64_t parse_u64(const std::string& what, const std::string& text) {
 
 int cmd_info(const std::string& path) {
   const auto bytes = snapshot::read_file(path);
-  const std::uint32_t version = snapshot::frame_version(bytes);
-  std::cout << path << ": format v" << version << ", " << bytes.size()
-            << " bytes\n";
   snapshot::validate_frame(bytes);
-  if (version >= 2) {
-    const snapshot::ChainHeader chain =
-        snapshot::read_chain_header_bytes(bytes);
-    std::cout << "chain: " << snapshot::to_string(chain.kind) << " frame, id "
-              << chain.chain_id << ", seq " << chain.seq;
-    if (chain.kind == snapshot::FrameKind::kDelta) {
-      std::cout << ", prev-crc " << chain.prev_crc;
-    }
-    std::cout << "\n";
-  }
   snapshot::Reader r(bytes);
-  if (version >= 2) {
-    (void)snapshot::read_chain_header(r);
+  std::cout << path << ": format v" << r.version() << ", " << bytes.size()
+            << " bytes\n";
+  const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
+  std::cout << "chain: " << snapshot::to_string(chain.kind) << " frame, id "
+            << chain.chain_id << ", seq " << chain.seq;
+  if (chain.kind == snapshot::FrameKind::kDelta) {
+    std::cout << ", prev-crc " << chain.prev_crc;
   }
+  std::cout << "\n";
   const snapshot::RunMeta meta = snapshot::read_meta(r);
   std::cout << "meta: " << meta.kind << " / " << meta.scheme << " on "
             << meta.trace_name << " (" << meta.trace_accesses
@@ -128,28 +118,10 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-int cmd_upgrade(const std::string& in, const std::string& out) {
-  const auto bytes = snapshot::read_file(in);
-  const std::uint32_t version = snapshot::frame_version(bytes);
-  if (version >= 2) {
-    std::cerr << "error: " << in << ": already format v" << version
-              << "; nothing to do\n";
-    return 1;
-  }
-  const auto upgraded = snapshot::upgrade_v1_to_v2(bytes);
-  snapshot::write_file_atomic(out, upgraded);
-  std::cout << "wrote " << out << " (v1 " << bytes.size() << " bytes -> v2 "
-            << upgraded.size() << " bytes)\n";
-  return 0;
-}
-
 int cmd_extract(const std::string& index, const std::string& in,
                 const std::string& out) {
   const std::uint64_t enclave = parse_u64("enclave index", index);
-  auto bytes = snapshot::read_file(in);
-  if (snapshot::frame_version(bytes) < 2) {
-    bytes = snapshot::upgrade_v1_to_v2(bytes);
-  }
+  const auto bytes = snapshot::read_file(in);
   const auto frame = snapshot::extract_enclave(bytes, enclave);
   snapshot::write_file_atomic(out, frame);
   const snapshot::ExtractedEnclave e = snapshot::read_extracted(frame);
@@ -174,9 +146,6 @@ int cmd_migrate(const std::vector<std::string>& args) {
     // Sole occupant: the tenant owns the whole combined space described by
     // the frame's META (the identity carve — byte-exact).
     snapshot::Reader r(bytes);
-    SGXPL_CHECK_MSG(r.version() >= 2,
-                    "format v1 frames have no per-enclave sections; upgrade "
-                    "the file first (snapshot_tool upgrade)");
     (void)snapshot::read_chain_header(r);
     const snapshot::RunMeta meta = snapshot::read_meta(r);
     geo.lo = 0;
@@ -348,9 +317,6 @@ int main(int argc, char** argv) {
   try {
     if (args.size() == 2 && args[0] == "info") {
       return cmd_info(args[1]);
-    }
-    if (args.size() == 3 && args[0] == "upgrade") {
-      return cmd_upgrade(args[1], args[2]);
     }
     if (args.size() == 4 && args[0] == "extract") {
       return cmd_extract(args[1], args[2], args[3]);

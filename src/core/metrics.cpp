@@ -41,41 +41,19 @@ std::string Metrics::describe() const {
 }
 
 void Metrics::save(snapshot::Writer& w) const {
-  w.u64("metrics.total_cycles", total_cycles);
-  w.u64("metrics.compute_cycles", compute_cycles);
-  w.u64("metrics.contention_cycles", contention_cycles);
-  w.u64("metrics.accesses", accesses);
-  w.u64("metrics.enclave_faults", enclave_faults);
-  w.u64("metrics.sip_checks", sip_checks);
-  w.u64("metrics.sip_requests", sip_requests);
-  w.u64("metrics.sip_check_cycles", sip_check_cycles);
-  w.u64("metrics.sip_notification_cycles", sip_notification_cycles);
-  w.boolean("metrics.dfp_stopped", dfp_stopped);
-  w.u64("metrics.dfp_stopped_at", dfp_stopped_at);
-  w.u64("metrics.dfp_preload_counter", dfp_preload_counter);
-  w.u64("metrics.dfp_acc_preload_counter", dfp_acc_preload_counter);
-  w.u64("metrics.dfp_predictor_hits", dfp_predictor_hits);
-  w.u64("metrics.dfp_predictor_misses", dfp_predictor_misses);
+#define SGXPL_SAVE(type, member) \
+  snapshot::save_field(w, "metrics." #member, member);
+  SGXPL_METRICS_FIELDS(SGXPL_SAVE)
+#undef SGXPL_SAVE
   driver.save(w);
   inject.save(w);
 }
 
 void Metrics::load(snapshot::Reader& r) {
-  total_cycles = r.u64("metrics.total_cycles");
-  compute_cycles = r.u64("metrics.compute_cycles");
-  contention_cycles = r.u64("metrics.contention_cycles");
-  accesses = r.u64("metrics.accesses");
-  enclave_faults = r.u64("metrics.enclave_faults");
-  sip_checks = r.u64("metrics.sip_checks");
-  sip_requests = r.u64("metrics.sip_requests");
-  sip_check_cycles = r.u64("metrics.sip_check_cycles");
-  sip_notification_cycles = r.u64("metrics.sip_notification_cycles");
-  dfp_stopped = r.boolean("metrics.dfp_stopped");
-  dfp_stopped_at = r.u64("metrics.dfp_stopped_at");
-  dfp_preload_counter = r.u64("metrics.dfp_preload_counter");
-  dfp_acc_preload_counter = r.u64("metrics.dfp_acc_preload_counter");
-  dfp_predictor_hits = r.u64("metrics.dfp_predictor_hits");
-  dfp_predictor_misses = r.u64("metrics.dfp_predictor_misses");
+#define SGXPL_LOAD(type, member) \
+  snapshot::load_field(r, "metrics." #member, member);
+  SGXPL_METRICS_FIELDS(SGXPL_LOAD)
+#undef SGXPL_LOAD
   driver.load(r);
   inject.load(r);
 }

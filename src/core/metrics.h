@@ -11,30 +11,32 @@
 
 namespace sgxpl::core {
 
+/// The scalar run metrics, one row each: X(type, member). This list is the
+/// only place they are named: it declares the member (zero-initialized)
+/// and drives save()/load() (snapshot label "metrics.<member>"; a bool row
+/// is a boolean field, every other row u64). The dfp_* rows stay zero/false
+/// when no DFP engine ran.
+#define SGXPL_METRICS_FIELDS(X)                                             \
+  X(Cycles, total_cycles) /* virtual time the app finished the trace */     \
+  X(Cycles, compute_cycles) /* trace gaps after contention inflation */     \
+  X(Cycles, contention_cycles) /* extra compute from channel contention */  \
+  X(std::uint64_t, accesses)                                                \
+  X(std::uint64_t, enclave_faults)                                          \
+  X(std::uint64_t, sip_checks) /* SIP runtime bitmap checks */              \
+  X(std::uint64_t, sip_requests) /* notifications (bitmap said absent) */   \
+  X(Cycles, sip_check_cycles)                                               \
+  X(Cycles, sip_notification_cycles)                                        \
+  X(bool, dfp_stopped)                                                      \
+  X(Cycles, dfp_stopped_at)                                                 \
+  X(std::uint64_t, dfp_preload_counter)                                     \
+  X(std::uint64_t, dfp_acc_preload_counter)                                 \
+  X(std::uint64_t, dfp_predictor_hits)                                      \
+  X(std::uint64_t, dfp_predictor_misses)
+
 struct Metrics {
-  /// Virtual time at which the application finished the trace.
-  Cycles total_cycles = 0;
-  /// Pure compute portion (sum of trace gaps after contention inflation).
-  Cycles compute_cycles = 0;
-  /// Extra compute cycles caused by channel/memory contention.
-  Cycles contention_cycles = 0;
-
-  std::uint64_t accesses = 0;
-  std::uint64_t enclave_faults = 0;
-
-  // SIP runtime activity.
-  std::uint64_t sip_checks = 0;
-  std::uint64_t sip_requests = 0;  // notifications (bitmap said absent)
-  Cycles sip_check_cycles = 0;
-  Cycles sip_notification_cycles = 0;
-
-  // DFP engine outcome (zero/false when no DFP ran).
-  bool dfp_stopped = false;
-  Cycles dfp_stopped_at = 0;
-  std::uint64_t dfp_preload_counter = 0;
-  std::uint64_t dfp_acc_preload_counter = 0;
-  std::uint64_t dfp_predictor_hits = 0;
-  std::uint64_t dfp_predictor_misses = 0;
+#define SGXPL_DECLARE_FIELD(type, member) type member{};
+  SGXPL_METRICS_FIELDS(SGXPL_DECLARE_FIELD)
+#undef SGXPL_DECLARE_FIELD
 
   /// Final driver-side statistics (faults, loads, preload accounting, ...).
   sgxsim::DriverStats driver;

@@ -13,7 +13,6 @@
 #include "sgxsim/driver.h"
 #include "snapshot/chain.h"
 #include "snapshot/codec.h"
-#include "snapshot/migrate.h"
 
 namespace sgxpl::core {
 
@@ -214,9 +213,7 @@ struct MultiEnclaveRun::Impl {
 
   /// Per-tenant snapshot groups: ENCM identity, APPS clock/metrics, DFPE
   /// engine when the tenant's scheme runs one. Written identically by full
-  /// and delta frames (tenant state is small and moves every step), and
-  /// reproduced field-for-field by the v1 upgrader so upgraded goldens stay
-  /// byte-identical to fresh v2 writes.
+  /// and delta frames (tenant state is small and moves every step).
   void save_tenants(snapshot::Writer& w) const {
     for (std::size_t i = 0; i < apps.size(); ++i) {
       const bool has_dfp = policy->engine(i) != nullptr;
@@ -485,10 +482,6 @@ void MultiEnclaveRun::save(snapshot::Writer& w,
 
 void MultiEnclaveRun::load(snapshot::Reader& r) {
   Impl& im = *impl_;
-  SGXPL_CHECK_MSG(r.version() >= 2,
-                  "format v1 snapshot: load it through load_bytes(), which "
-                  "upgrades in memory, or rewrite the file with "
-                  "'snapshot_tool upgrade'");
   const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
   SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
                   "this frame is delta "
@@ -522,13 +515,6 @@ std::vector<std::uint8_t> MultiEnclaveRun::save_bytes() const {
 void MultiEnclaveRun::load_bytes(const std::vector<std::uint8_t>& bytes) {
   snapshot::validate_frame(bytes);
   snapshot::Reader r(bytes);
-  if (r.version() < 2) {
-    const std::vector<std::uint8_t> upgraded =
-        snapshot::upgrade_v1_to_v2(bytes);
-    snapshot::Reader upgraded_reader(upgraded);
-    load(upgraded_reader);
-    return;
-  }
   load(r);
 }
 
@@ -536,9 +522,7 @@ bool MultiEnclaveRun::restore_if_compatible(
     const std::vector<std::uint8_t>& bytes) {
   snapshot::validate_frame(bytes);
   snapshot::Reader probe(bytes);
-  if (probe.version() >= 2) {
-    (void)snapshot::read_chain_header(probe);
-  }
+  (void)snapshot::read_chain_header(probe);
   const snapshot::RunMeta stored = snapshot::read_meta(probe);
   if (!stored.incompatibility(meta()).empty()) {
     return false;

@@ -10,7 +10,6 @@
 #include "sgxsim/driver.h"
 #include "snapshot/chain.h"
 #include "snapshot/codec.h"
-#include "snapshot/migrate.h"
 
 namespace sgxpl::core {
 
@@ -327,10 +326,6 @@ void SimulationRun::save(snapshot::Writer& w,
 }
 
 void SimulationRun::load(snapshot::Reader& r) {
-  SGXPL_CHECK_MSG(r.version() >= 2,
-                  "format v1 snapshot: load it through load_bytes(), which "
-                  "upgrades in memory, or rewrite the file with "
-                  "'snapshot_tool upgrade'");
   const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
   SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
                   "this frame is delta "
@@ -360,13 +355,6 @@ std::vector<std::uint8_t> SimulationRun::save_bytes() const {
 void SimulationRun::load_bytes(const std::vector<std::uint8_t>& bytes) {
   snapshot::validate_frame(bytes);
   snapshot::Reader r(bytes);
-  if (r.version() < 2) {
-    const std::vector<std::uint8_t> upgraded =
-        snapshot::upgrade_v1_to_v2(bytes);
-    snapshot::Reader upgraded_reader(upgraded);
-    load(upgraded_reader);
-    return;
-  }
   load(r);
 }
 
@@ -374,9 +362,7 @@ bool SimulationRun::restore_if_compatible(
     const std::vector<std::uint8_t>& bytes) {
   snapshot::validate_frame(bytes);
   snapshot::Reader probe(bytes);
-  if (probe.version() >= 2) {
-    (void)snapshot::read_chain_header(probe);
-  }
+  (void)snapshot::read_chain_header(probe);
   const snapshot::RunMeta stored = snapshot::read_meta(probe);
   if (!stored.incompatibility(meta()).empty()) {
     return false;

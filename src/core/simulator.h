@@ -82,12 +82,10 @@ class SimulationRun {
   /// Snapshotter uses it for chain bases).
   void save(snapshot::Writer& w) const;
   void save(snapshot::Writer& w, const snapshot::ChainHeader& chain) const;
-  /// Read a format-v2 full frame. Rejects delta frames (restore those
-  /// through snapshot::restore_chain) and v1 frames (load_bytes upgrades
-  /// those in memory first).
+  /// Read a full frame. Rejects delta frames (restore those through
+  /// snapshot::restore_chain).
   void load(snapshot::Reader& r);
-  /// save()/load() through a complete framed snapshot. load_bytes accepts
-  /// format-v1 bytes and upgrades them through the migration shim.
+  /// save()/load() through a complete framed snapshot.
   std::vector<std::uint8_t> save_bytes() const;
   void load_bytes(const std::vector<std::uint8_t>& bytes);
   /// Meta-gated restore: returns false (leaving the run untouched) when

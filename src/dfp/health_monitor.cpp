@@ -118,9 +118,21 @@ void HealthMonitor::on_scan(std::uint64_t preload_counter,
   }
 }
 
+namespace {
+
+void publish_counter(obs::MetricsRegistry& reg, const char* metric,
+                     std::uint64_t value) {
+  if (metric != nullptr) {
+    reg.counter(metric).add(value);
+  }
+}
+
+}  // namespace
+
 void HealthMonitor::publish(obs::MetricsRegistry& reg) const {
-  reg.counter("dfp.health.stops").add(stops_);
-  reg.counter("dfp.health.resumes").add(resumes_);
+#define SGXPL_PUBLISH(name, metric) publish_counter(reg, metric, name##_);
+  SGXPL_HEALTH_FIELDS(SGXPL_PUBLISH)
+#undef SGXPL_PUBLISH
   reg.gauge("dfp.health.state").set(static_cast<double>(state_));
 }
 
@@ -135,26 +147,16 @@ std::string HealthMonitor::describe() const {
 
 void HealthMonitor::reset() {
   state_ = HealthState::kPreloading;
-  scans_in_state_ = 0;
-  entry_preloads_ = 0;
-  entry_acc_ = 0;
-  entry_aborted_ = 0;
-  stops_ = 0;
-  resumes_ = 0;
-  consecutive_stops_ = 0;
-  last_stop_at_ = 0;
+#define SGXPL_RESET(name, metric) name##_ = 0;
+  SGXPL_HEALTH_FIELDS(SGXPL_RESET)
+#undef SGXPL_RESET
 }
 
 void HealthMonitor::save(snapshot::Writer& w) const {
   w.u64("health.state", static_cast<std::uint64_t>(state_));
-  w.u64("health.scans_in_state", scans_in_state_);
-  w.u64("health.entry_preloads", entry_preloads_);
-  w.u64("health.entry_acc", entry_acc_);
-  w.u64("health.entry_aborted", entry_aborted_);
-  w.u64("health.stops", stops_);
-  w.u64("health.resumes", resumes_);
-  w.u64("health.consecutive_stops", consecutive_stops_);
-  w.u64("health.last_stop_at", last_stop_at_);
+#define SGXPL_SAVE(name, metric) w.u64("health." #name, name##_);
+  SGXPL_HEALTH_FIELDS(SGXPL_SAVE)
+#undef SGXPL_SAVE
 }
 
 void HealthMonitor::load(snapshot::Reader& r) {
@@ -163,14 +165,9 @@ void HealthMonitor::load(snapshot::Reader& r) {
       state <= static_cast<std::uint64_t>(HealthState::kProbation),
       "snapshot health monitor holds invalid state " << state);
   state_ = static_cast<HealthState>(state);
-  scans_in_state_ = r.u64("health.scans_in_state");
-  entry_preloads_ = r.u64("health.entry_preloads");
-  entry_acc_ = r.u64("health.entry_acc");
-  entry_aborted_ = r.u64("health.entry_aborted");
-  stops_ = r.u64("health.stops");
-  resumes_ = r.u64("health.resumes");
-  consecutive_stops_ = r.u64("health.consecutive_stops");
-  last_stop_at_ = r.u64("health.last_stop_at");
+#define SGXPL_LOAD(name, metric) name##_ = r.u64("health." #name);
+  SGXPL_HEALTH_FIELDS(SGXPL_LOAD)
+#undef SGXPL_LOAD
 }
 
 }  // namespace sgxpl::dfp

@@ -81,6 +81,22 @@ enum class HealthState : std::uint8_t {
 
 const char* to_string(HealthState s) noexcept;
 
+/// The monitor's plain state fields, one row each: X(name, registry counter
+/// or nullptr). This list declares the member `<name>_` and drives reset(),
+/// save(), load() (label "health.<name>") and publish() for the rows with a
+/// counter. The entry_* rows are the cumulative counters snapshotted when
+/// the current state was entered. `state_` is written first and is
+/// hand-written: load() range-checks it.
+#define SGXPL_HEALTH_FIELDS(X)         \
+  X(scans_in_state, nullptr)           \
+  X(entry_preloads, nullptr)           \
+  X(entry_acc, nullptr)                \
+  X(entry_aborted, nullptr)            \
+  X(stops, "dfp.health.stops")         \
+  X(resumes, "dfp.health.resumes")     \
+  X(consecutive_stops, nullptr)        \
+  X(last_stop_at, nullptr)
+
 class HealthMonitor {
  public:
   explicit HealthMonitor(const HealthParams& params);
@@ -133,16 +149,9 @@ class HealthMonitor {
 
   HealthParams params_;
   HealthState state_ = HealthState::kPreloading;
-  std::uint64_t scans_in_state_ = 0;
-  // Counter snapshots taken when the current state was entered.
-  std::uint64_t entry_preloads_ = 0;
-  std::uint64_t entry_acc_ = 0;
-  std::uint64_t entry_aborted_ = 0;
-
-  std::uint64_t stops_ = 0;
-  std::uint64_t resumes_ = 0;
-  std::uint64_t consecutive_stops_ = 0;
-  Cycles last_stop_at_ = 0;
+#define SGXPL_DECLARE_FIELD(name, metric) std::uint64_t name##_ = 0;
+  SGXPL_HEALTH_FIELDS(SGXPL_DECLARE_FIELD)
+#undef SGXPL_DECLARE_FIELD
 
   obs::TimeSeriesSet* series_ = nullptr;  // not owned; may be null
 };

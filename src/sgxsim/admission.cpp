@@ -117,15 +117,9 @@ void AdmissionController::save(snapshot::Writer& w) const {
   const DegradeLevel effective =
       level_ == DegradeLevel::kDraining ? resume_level_ : level_;
   w.u64("admit.level", static_cast<std::uint64_t>(effective));
-  w.u64("admit.healthy_streak", healthy_streak_);
-  w.u64("admit.window_span", window_span_);
-  w.u64("admit.window_admitted", window_admitted_);
-  w.u64("admit.window_rejected", window_rejected_);
-  w.u64("admit.window_retries", window_retries_);
-  w.u64("admit.window_permanent", window_permanent_);
-  w.u64("admit.windows", windows_);
-  w.u64("admit.demotions", demotions_);
-  w.u64("admit.promotions", promotions_);
+#define SGXPL_SAVE(type, name) w.u64("admit." #name, name##_);
+  SGXPL_ADMISSION_FIELDS(SGXPL_SAVE)
+#undef SGXPL_SAVE
 }
 
 void AdmissionController::load(snapshot::Reader& r) {
@@ -135,15 +129,10 @@ void AdmissionController::load(snapshot::Reader& r) {
       "snapshot admission level " << level << " is not on the ladder");
   level_ = static_cast<DegradeLevel>(level);
   resume_level_ = level_;
-  healthy_streak_ = static_cast<std::uint32_t>(r.u64("admit.healthy_streak"));
-  window_span_ = static_cast<std::uint32_t>(r.u64("admit.window_span"));
-  window_admitted_ = r.u64("admit.window_admitted");
-  window_rejected_ = r.u64("admit.window_rejected");
-  window_retries_ = r.u64("admit.window_retries");
-  window_permanent_ = r.u64("admit.window_permanent");
-  windows_ = r.u64("admit.windows");
-  demotions_ = r.u64("admit.demotions");
-  promotions_ = r.u64("admit.promotions");
+#define SGXPL_LOAD(type, name) \
+  snapshot::load_field(r, "admit." #name, name##_);
+  SGXPL_ADMISSION_FIELDS(SGXPL_LOAD)
+#undef SGXPL_LOAD
 }
 
 }  // namespace sgxpl::sgxsim

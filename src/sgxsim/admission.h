@@ -78,6 +78,25 @@ struct AdmissionParams {
   std::uint32_t max_window_span = 8;
 };
 
+/// The controller's plain counters, one row each: X(type, name). This list
+/// declares the member `<name>_` and drives save()/load() (label
+/// "admit.<name>"). The window_* rows are the evidence of the current
+/// window; window_span counts the scan ticks an adaptive window has spanned
+/// so far (always 0 with fixed windows); windows, demotions and promotions
+/// are lifetime counters that survive window resets. `level_` is written
+/// first and is hand-written: save() maps kDraining to the resume level
+/// and load() range-checks the ladder.
+#define SGXPL_ADMISSION_FIELDS(X)          \
+  X(std::uint32_t, healthy_streak)         \
+  X(std::uint32_t, window_span)            \
+  X(std::uint64_t, window_admitted)        \
+  X(std::uint64_t, window_rejected)        \
+  X(std::uint64_t, window_retries)         \
+  X(std::uint64_t, window_permanent)       \
+  X(std::uint64_t, windows)                \
+  X(std::uint64_t, demotions)              \
+  X(std::uint64_t, promotions)
+
 class AdmissionController {
  public:
   AdmissionController() = default;
@@ -147,17 +166,9 @@ class AdmissionController {
   /// save() writes this (the effective ladder position) instead of
   /// kDraining — snapshots never restore into a half-finished migration.
   DegradeLevel resume_level_ = DegradeLevel::kFullPreload;
-  std::uint32_t healthy_streak_ = 0;
-  /// Scan ticks the current adaptive window has spanned so far (always 0
-  /// with fixed windows).
-  std::uint32_t window_span_ = 0;
-  std::uint64_t window_admitted_ = 0;
-  std::uint64_t window_rejected_ = 0;
-  std::uint64_t window_retries_ = 0;
-  std::uint64_t window_permanent_ = 0;
-  std::uint64_t windows_ = 0;
-  std::uint64_t demotions_ = 0;
-  std::uint64_t promotions_ = 0;
+#define SGXPL_DECLARE_FIELD(type, name) type name##_ = 0;
+  SGXPL_ADMISSION_FIELDS(SGXPL_DECLARE_FIELD)
+#undef SGXPL_DECLARE_FIELD
 };
 
 }  // namespace sgxpl::sgxsim

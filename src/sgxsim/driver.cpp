@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "snapshot/codec.h"
@@ -73,71 +74,18 @@ std::string overload_spec(const EnclaveConfig& cfg) {
 }
 
 void DriverStats::publish(obs::MetricsRegistry& reg) const {
-  reg.counter("driver.accesses").add(accesses);
-  reg.counter("driver.faults").add(faults);
-  reg.counter("driver.demand_loads").add(demand_loads);
-  reg.counter("driver.fault_wait_hits").add(fault_wait_hits);
-  reg.counter("driver.preloads.issued").add(preloads_issued);
-  reg.counter("driver.preloads.completed").add(preloads_completed);
-  reg.counter("driver.preloads.aborted").add(preloads_aborted);
-  reg.counter("driver.preloads.used").add(preloads_used);
-  reg.counter("driver.preloads.evicted_unused").add(preloads_evicted_unused);
-  reg.counter("driver.sip.loads").add(sip_loads);
-  reg.counter("driver.sip.inflight_waits").add(sip_inflight_waits);
-  reg.counter("driver.sip.prefetches").add(sip_prefetches);
-  reg.counter("driver.evictions").add(evictions);
-  reg.counter("driver.scans").add(scans);
-  reg.counter("driver.scan_stalls").add(scan_stalls);
-  reg.counter("driver.watchdog.checks").add(watchdog_checks);
-  reg.counter("driver.bitmap_lies").add(bitmap_lies);
-  reg.counter("driver.squeeze_evictions").add(squeeze_evictions);
-  reg.counter("channel.admission.shed").add(preloads_shed);
-  reg.counter("channel.admission.queue_evictions")
-      .add(queued_preload_evictions);
-  reg.counter("channel.retry.lost").add(lost_completions);
-  reg.counter("channel.retry.reissued").add(retries);
-  reg.counter("channel.retry.resolved").add(retries_resolved);
-  reg.counter("channel.retry.permanent_faults").add(permanent_faults);
-  reg.counter("channel.retry.duplicates").add(duplicate_completions);
-  reg.counter("degrade.demotions").add(degrade_demotions);
-  reg.counter("degrade.promotions").add(degrade_promotions);
-  reg.counter("driver.fault.stall_cycles.total").add(fault_stall_cycles);
-  reg.counter("driver.sip.stall_cycles.total").add(sip_stall_cycles);
+#define SGXPL_PUBLISH(member, metric) reg.counter(metric).add(member);
+  SGXPL_DRIVER_STATS_FIELDS(SGXPL_PUBLISH)
+#undef SGXPL_PUBLISH
 }
 
 std::string DriverStats::describe() const {
   std::ostringstream oss;
-  oss << "accesses=" << accesses << " faults=" << faults
-      << " demand_loads=" << demand_loads
-      << " fault_wait_hits=" << fault_wait_hits
-      << " preloads{issued=" << preloads_issued
-      << ", completed=" << preloads_completed
-      << ", aborted=" << preloads_aborted << ", used=" << preloads_used
-      << ", evicted_unused=" << preloads_evicted_unused << "}"
-      << " sip{loads=" << sip_loads << ", inflight_waits=" << sip_inflight_waits
-      << ", prefetches=" << sip_prefetches
-      << "} evictions=" << evictions << " scans=" << scans
-      << " fault_stall=" << fault_stall_cycles
-      << " sip_stall=" << sip_stall_cycles;
-  if (scan_stalls + watchdog_checks + bitmap_lies + squeeze_evictions > 0) {
-    oss << " chaos{scan_stalls=" << scan_stalls
-        << ", watchdog_checks=" << watchdog_checks
-        << ", bitmap_lies=" << bitmap_lies
-        << ", squeeze_evictions=" << squeeze_evictions << "}";
-  }
-  if (preloads_shed + queued_preload_evictions + lost_completions + retries +
-          retries_resolved + permanent_faults + duplicate_completions +
-          degrade_demotions + degrade_promotions >
-      0) {
-    oss << " robust{shed=" << preloads_shed
-        << ", queue_evict=" << queued_preload_evictions
-        << ", lost=" << lost_completions << ", retries=" << retries
-        << ", resolved=" << retries_resolved
-        << ", permanent=" << permanent_faults
-        << ", dups=" << duplicate_completions
-        << ", demotions=" << degrade_demotions
-        << ", promotions=" << degrade_promotions << "}";
-  }
+  const char* sep = "";
+#define SGXPL_DESCRIBE(member, metric) \
+  oss << std::exchange(sep, " ") << #member "=" << member;
+  SGXPL_DRIVER_STATS_FIELDS(SGXPL_DESCRIBE)
+#undef SGXPL_DESCRIBE
   return oss.str();
 }
 
@@ -1227,67 +1175,15 @@ void Driver::check_invariants() const {
 }
 
 void DriverStats::save(snapshot::Writer& w) const {
-  w.u64("stats.accesses", accesses);
-  w.u64("stats.faults", faults);
-  w.u64("stats.demand_loads", demand_loads);
-  w.u64("stats.fault_wait_hits", fault_wait_hits);
-  w.u64("stats.preloads_issued", preloads_issued);
-  w.u64("stats.preloads_completed", preloads_completed);
-  w.u64("stats.preloads_aborted", preloads_aborted);
-  w.u64("stats.preloads_used", preloads_used);
-  w.u64("stats.preloads_evicted_unused", preloads_evicted_unused);
-  w.u64("stats.sip_loads", sip_loads);
-  w.u64("stats.sip_inflight_waits", sip_inflight_waits);
-  w.u64("stats.sip_prefetches", sip_prefetches);
-  w.u64("stats.evictions", evictions);
-  w.u64("stats.scans", scans);
-  w.u64("stats.scan_stalls", scan_stalls);
-  w.u64("stats.watchdog_checks", watchdog_checks);
-  w.u64("stats.bitmap_lies", bitmap_lies);
-  w.u64("stats.squeeze_evictions", squeeze_evictions);
-  w.u64("stats.preloads_shed", preloads_shed);
-  w.u64("stats.queued_preload_evictions", queued_preload_evictions);
-  w.u64("stats.lost_completions", lost_completions);
-  w.u64("stats.retries", retries);
-  w.u64("stats.retries_resolved", retries_resolved);
-  w.u64("stats.permanent_faults", permanent_faults);
-  w.u64("stats.duplicate_completions", duplicate_completions);
-  w.u64("stats.degrade_demotions", degrade_demotions);
-  w.u64("stats.degrade_promotions", degrade_promotions);
-  w.u64("stats.fault_stall_cycles", fault_stall_cycles);
-  w.u64("stats.sip_stall_cycles", sip_stall_cycles);
+#define SGXPL_SAVE(member, metric) w.u64("stats." #member, member);
+  SGXPL_DRIVER_STATS_FIELDS(SGXPL_SAVE)
+#undef SGXPL_SAVE
 }
 
 void DriverStats::load(snapshot::Reader& r) {
-  accesses = r.u64("stats.accesses");
-  faults = r.u64("stats.faults");
-  demand_loads = r.u64("stats.demand_loads");
-  fault_wait_hits = r.u64("stats.fault_wait_hits");
-  preloads_issued = r.u64("stats.preloads_issued");
-  preloads_completed = r.u64("stats.preloads_completed");
-  preloads_aborted = r.u64("stats.preloads_aborted");
-  preloads_used = r.u64("stats.preloads_used");
-  preloads_evicted_unused = r.u64("stats.preloads_evicted_unused");
-  sip_loads = r.u64("stats.sip_loads");
-  sip_inflight_waits = r.u64("stats.sip_inflight_waits");
-  sip_prefetches = r.u64("stats.sip_prefetches");
-  evictions = r.u64("stats.evictions");
-  scans = r.u64("stats.scans");
-  scan_stalls = r.u64("stats.scan_stalls");
-  watchdog_checks = r.u64("stats.watchdog_checks");
-  bitmap_lies = r.u64("stats.bitmap_lies");
-  squeeze_evictions = r.u64("stats.squeeze_evictions");
-  preloads_shed = r.u64("stats.preloads_shed");
-  queued_preload_evictions = r.u64("stats.queued_preload_evictions");
-  lost_completions = r.u64("stats.lost_completions");
-  retries = r.u64("stats.retries");
-  retries_resolved = r.u64("stats.retries_resolved");
-  permanent_faults = r.u64("stats.permanent_faults");
-  duplicate_completions = r.u64("stats.duplicate_completions");
-  degrade_demotions = r.u64("stats.degrade_demotions");
-  degrade_promotions = r.u64("stats.degrade_promotions");
-  fault_stall_cycles = r.u64("stats.fault_stall_cycles");
-  sip_stall_cycles = r.u64("stats.sip_stall_cycles");
+#define SGXPL_LOAD(member, metric) member = r.u64("stats." #member);
+  SGXPL_DRIVER_STATS_FIELDS(SGXPL_LOAD)
+#undef SGXPL_LOAD
 }
 
 void Driver::save_drvr_fields(snapshot::Writer& w) const {

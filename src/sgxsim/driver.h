@@ -94,47 +94,55 @@ struct EnclaveConfig {
 /// retry/admission state it carries (or lacks) would not match.
 std::string overload_spec(const EnclaveConfig& cfg);
 
-struct DriverStats {
-  std::uint64_t accesses = 0;
-  std::uint64_t faults = 0;           // enclave page faults (AEX taken)
-  std::uint64_t demand_loads = 0;     // loads scheduled by the fault handler
-  std::uint64_t fault_wait_hits = 0;  // faults satisfied by an in-flight load
-  std::uint64_t preloads_issued = 0;
-  std::uint64_t preloads_completed = 0;
-  std::uint64_t preloads_aborted = 0;
-  std::uint64_t preloads_used = 0;      // preloaded pages later accessed
-  std::uint64_t preloads_evicted_unused = 0;
-  std::uint64_t sip_loads = 0;          // synchronous SIP loads performed
-  std::uint64_t sip_inflight_waits = 0; // SIP requests that hit an in-flight op
-  std::uint64_t sip_prefetches = 0;     // asynchronous (hoisted) SIP loads
-  std::uint64_t evictions = 0;
-  std::uint64_t scans = 0;
-  std::uint64_t scan_stalls = 0;        // service-thread scans that overslept
-  std::uint64_t watchdog_checks = 0;    // online invariant sweeps run
-  std::uint64_t bitmap_lies = 0;        // SIP bitmap reads the chaos layer faked
-  std::uint64_t squeeze_evictions = 0;  // evictions forced by an EPC squeeze
-  // --- overload hardening (all zero unless a channel bound, retries, or
-  // admission control are configured; see docs/ROBUSTNESS.md) ---
-  std::uint64_t preloads_shed = 0;      // predictions rejected by admission
-  std::uint64_t queued_preload_evictions = 0;  // shed for a demand load
-  std::uint64_t lost_completions = 0;   // completions the sweep declared lost
-  std::uint64_t retries = 0;            // lost ops re-issued
-  std::uint64_t retries_resolved = 0;   // lost ops made moot by another load
-  std::uint64_t permanent_faults = 0;   // lost ops past max_retries
-  std::uint64_t duplicate_completions = 0;  // idempotently suppressed dups
-  std::uint64_t degrade_demotions = 0;  // tenant ladder steps down
-  std::uint64_t degrade_promotions = 0; // tenant ladder steps up
-  /// Cycles the app spent stalled on fault handling (AEX+wait+ERESUME).
-  Cycles fault_stall_cycles = 0;
-  /// Cycles the app spent stalled inside SIP page_loadin calls.
-  Cycles sip_stall_cycles = 0;
+/// The driver's counters, one row each: X(member, registry counter). This
+/// list is the only place a counter is named: it declares the member and
+/// drives publish(), describe(), save() and load() (snapshot label
+/// "stats.<member>"). The overload-hardening rows (preloads_shed onward)
+/// stay zero unless a channel bound, retries or admission control are
+/// configured (docs/ROBUSTNESS.md).
+#define SGXPL_DRIVER_STATS_FIELDS(X)                                        \
+  X(accesses, "driver.accesses")                                            \
+  X(faults, "driver.faults") /* enclave page faults (AEX taken) */          \
+  X(demand_loads, "driver.demand_loads") /* fault-handler loads */          \
+  X(fault_wait_hits, "driver.fault_wait_hits") /* met by in-flight load */  \
+  X(preloads_issued, "driver.preloads.issued")                              \
+  X(preloads_completed, "driver.preloads.completed")                        \
+  X(preloads_aborted, "driver.preloads.aborted")                            \
+  X(preloads_used, "driver.preloads.used") /* later accessed */             \
+  X(preloads_evicted_unused, "driver.preloads.evicted_unused")              \
+  X(sip_loads, "driver.sip.loads") /* synchronous SIP loads */              \
+  X(sip_inflight_waits, "driver.sip.inflight_waits") /* hit in-flight op */ \
+  X(sip_prefetches, "driver.sip.prefetches") /* hoisted SIP loads */        \
+  X(evictions, "driver.evictions")                                          \
+  X(scans, "driver.scans")                                                  \
+  X(scan_stalls, "driver.scan_stalls") /* scans that overslept */           \
+  X(watchdog_checks, "driver.watchdog.checks") /* invariant sweeps run */   \
+  X(bitmap_lies, "driver.bitmap_lies") /* bitmap reads chaos faked */       \
+  X(squeeze_evictions, "driver.squeeze_evictions") /* EPC squeeze */        \
+  X(preloads_shed, "channel.admission.shed") /* rejected by admission */    \
+  X(queued_preload_evictions, "channel.admission.queue_evictions")          \
+  X(lost_completions, "channel.retry.lost") /* declared lost */             \
+  X(retries, "channel.retry.reissued") /* lost ops re-issued */             \
+  X(retries_resolved, "channel.retry.resolved") /* made moot by a load */   \
+  X(permanent_faults, "channel.retry.permanent_faults") /* > max_retries */ \
+  X(duplicate_completions, "channel.retry.duplicates") /* suppressed */     \
+  X(degrade_demotions, "degrade.demotions") /* tenant ladder steps down */  \
+  X(degrade_promotions, "degrade.promotions") /* tenant ladder steps up */  \
+  X(fault_stall_cycles, "driver.fault.stall_cycles.total") /* AEX..ERESUME */ \
+  X(sip_stall_cycles, "driver.sip.stall_cycles.total") /* in page_loadin */
 
-  /// Flush every counter into `reg` under the "driver." prefix. This is
-  /// the registry view of the compatibility struct: code that wants flat
+struct DriverStats {
+#define SGXPL_DECLARE_COUNTER(member, metric) std::uint64_t member = 0;
+  SGXPL_DRIVER_STATS_FIELDS(SGXPL_DECLARE_COUNTER)
+#undef SGXPL_DECLARE_COUNTER
+
+  /// Flush every counter into `reg` under its registry name. This is the
+  /// registry view of the compatibility struct: code that wants flat
   /// end-of-run numbers keeps reading DriverStats; observability consumers
   /// read the registry.
   void publish(obs::MetricsRegistry& reg) const;
 
+  /// "member=value" for every counter, space-separated.
   std::string describe() const;
 
   /// Checkpoint/restore of every counter.

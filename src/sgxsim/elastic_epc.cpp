@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "common/check.h"
 #include "snapshot/codec.h"
@@ -172,42 +174,21 @@ std::optional<ElasticParams> parse_elastic_spec(std::string_view spec,
 }
 
 void ElasticStats::publish(obs::MetricsRegistry& reg) const {
-  reg.counter("epc.elastic.rebalance_ticks").add(rebalance_ticks);
-  reg.counter("epc.elastic.grows").add(grows);
-  reg.counter("epc.elastic.grow_pages").add(grow_pages);
-  reg.counter("epc.elastic.shrinks").add(shrinks);
-  reg.counter("epc.elastic.shrink_pages").add(shrink_pages);
-  reg.counter("epc.elastic.demotion_shrinks").add(demotion_shrinks);
-  reg.counter("epc.elastic.backpressure_shrinks").add(backpressure_shrinks);
-  reg.counter("epc.elastic.idle_shrinks").add(idle_shrinks);
-  reg.counter("epc.elastic.floor_hits").add(floor_hits);
-  reg.counter("epc.elastic.quota_evictions").add(quota_evictions);
+#define SGXPL_PUBLISH(member) reg.counter("epc.elastic." #member).add(member);
+  SGXPL_ELASTIC_STATS_FIELDS(SGXPL_PUBLISH)
+#undef SGXPL_PUBLISH
 }
 
 void ElasticStats::save(snapshot::Writer& w) const {
-  w.u64("el.stats.rebalance_ticks", rebalance_ticks);
-  w.u64("el.stats.grows", grows);
-  w.u64("el.stats.grow_pages", grow_pages);
-  w.u64("el.stats.shrinks", shrinks);
-  w.u64("el.stats.shrink_pages", shrink_pages);
-  w.u64("el.stats.demotion_shrinks", demotion_shrinks);
-  w.u64("el.stats.backpressure_shrinks", backpressure_shrinks);
-  w.u64("el.stats.idle_shrinks", idle_shrinks);
-  w.u64("el.stats.floor_hits", floor_hits);
-  w.u64("el.stats.quota_evictions", quota_evictions);
+#define SGXPL_SAVE(member) w.u64("el.stats." #member, member);
+  SGXPL_ELASTIC_STATS_FIELDS(SGXPL_SAVE)
+#undef SGXPL_SAVE
 }
 
 void ElasticStats::load(snapshot::Reader& r) {
-  rebalance_ticks = r.u64("el.stats.rebalance_ticks");
-  grows = r.u64("el.stats.grows");
-  grow_pages = r.u64("el.stats.grow_pages");
-  shrinks = r.u64("el.stats.shrinks");
-  shrink_pages = r.u64("el.stats.shrink_pages");
-  demotion_shrinks = r.u64("el.stats.demotion_shrinks");
-  backpressure_shrinks = r.u64("el.stats.backpressure_shrinks");
-  idle_shrinks = r.u64("el.stats.idle_shrinks");
-  floor_hits = r.u64("el.stats.floor_hits");
-  quota_evictions = r.u64("el.stats.quota_evictions");
+#define SGXPL_LOAD(member) member = r.u64("el.stats." #member);
+  SGXPL_ELASTIC_STATS_FIELDS(SGXPL_LOAD)
+#undef SGXPL_LOAD
 }
 
 void ElasticEpcController::configure(const ElasticParams& params,
@@ -472,33 +453,18 @@ void ElasticEpcController::save(snapshot::Writer& w) const {
   w.u64("el.capacity", capacity_);
   w.u64("el.free_pool", free_pool_);
   w.u64("el.next_grant", next_grant_);
-  std::vector<std::uint64_t> lo, pages, quota, resident, faults, mapped,
-      accesses, pressure, idle, cooldown, demoted;
-  lo.reserve(tenants_.size());
-  for (const Tenant& t : tenants_) {
-    lo.push_back(t.lo);
-    pages.push_back(t.pages);
-    quota.push_back(t.quota);
-    resident.push_back(t.resident);
-    faults.push_back(t.window_faults);
-    mapped.push_back(t.window_mapped);
-    accesses.push_back(t.window_accesses);
-    pressure.push_back(t.pressure_streak);
-    idle.push_back(t.idle_streak);
-    cooldown.push_back(t.cooldown);
-    demoted.push_back(t.demoted ? 1 : 0);
-  }
-  w.u64_vec("el.lo", lo);
-  w.u64_vec("el.pages", pages);
-  w.u64_vec("el.quota", quota);
-  w.u64_vec("el.resident", resident);
-  w.u64_vec("el.window_faults", faults);
-  w.u64_vec("el.window_mapped", mapped);
-  w.u64_vec("el.window_accesses", accesses);
-  w.u64_vec("el.pressure_streak", pressure);
-  w.u64_vec("el.idle_streak", idle);
-  w.u64_vec("el.cooldown", cooldown);
-  w.u64_vec("el.demoted", demoted);
+  std::vector<std::uint64_t> column(tenants_.size());
+  const auto save_column = [&]<class T>(std::string_view label,
+                                        T Tenant::*member) {
+    for (std::size_t i = 0; i < tenants_.size(); ++i) {
+      column[i] = static_cast<std::uint64_t>(tenants_[i].*member);
+    }
+    w.u64_vec(label, column);
+  };
+#define SGXPL_SAVE_COLUMN(type, member) \
+  save_column("el." #member, &Tenant::member);
+  SGXPL_ELASTIC_TENANT_FIELDS(SGXPL_SAVE_COLUMN)
+#undef SGXPL_SAVE_COLUMN
   stats_.save(w);
 }
 
@@ -513,47 +479,31 @@ void ElasticEpcController::load(snapshot::Reader& r) {
   next_grant_ = r.u64("el.next_grant");
   SGXPL_CHECK_MSG(next_grant_ < tenants_.size(),
                   "snapshot elastic grant cursor out of range");
-  const std::vector<std::uint64_t> lo = r.u64_vec("el.lo");
-  const std::vector<std::uint64_t> pages = r.u64_vec("el.pages");
-  const std::vector<std::uint64_t> quota = r.u64_vec("el.quota");
-  const std::vector<std::uint64_t> resident = r.u64_vec("el.resident");
-  const std::vector<std::uint64_t> faults = r.u64_vec("el.window_faults");
-  const std::vector<std::uint64_t> mapped = r.u64_vec("el.window_mapped");
-  const std::vector<std::uint64_t> accesses = r.u64_vec("el.window_accesses");
-  const std::vector<std::uint64_t> pressure = r.u64_vec("el.pressure_streak");
-  const std::vector<std::uint64_t> idle = r.u64_vec("el.idle_streak");
-  const std::vector<std::uint64_t> cooldown = r.u64_vec("el.cooldown");
-  const std::vector<std::uint64_t> demoted = r.u64_vec("el.demoted");
-  SGXPL_CHECK_MSG(lo.size() == tenants_.size() &&
-                      pages.size() == tenants_.size() &&
-                      quota.size() == tenants_.size() &&
-                      resident.size() == tenants_.size() &&
-                      faults.size() == tenants_.size() &&
-                      mapped.size() == tenants_.size() &&
-                      accesses.size() == tenants_.size() &&
-                      pressure.size() == tenants_.size() &&
-                      idle.size() == tenants_.size() &&
-                      cooldown.size() == tenants_.size() &&
-                      demoted.size() == tenants_.size(),
-                  "snapshot elastic tenant columns do not match this run's "
-                      << tenants_.size() << " tenants");
+  std::vector<Tenant> loaded(tenants_.size());
+  const auto load_column = [&]<class T>(std::string_view label,
+                                        T Tenant::*member) {
+    const std::vector<std::uint64_t> column = r.u64_vec(label);
+    SGXPL_CHECK_MSG(column.size() == tenants_.size(),
+                    "snapshot elastic tenant columns do not match this run's "
+                        << tenants_.size() << " tenants");
+    for (std::size_t i = 0; i < tenants_.size(); ++i) {
+      loaded[i].*member = static_cast<T>(column[i]);
+    }
+  };
+#define SGXPL_LOAD_COLUMN(type, member) \
+  load_column("el." #member, &Tenant::member);
+  SGXPL_ELASTIC_TENANT_FIELDS(SGXPL_LOAD_COLUMN)
+#undef SGXPL_LOAD_COLUMN
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    Tenant& t = tenants_[i];
-    SGXPL_CHECK_MSG(lo[i] == t.lo && pages[i] == t.pages,
-                    "snapshot elastic tenant " << i << " covers ["
-                        << lo[i] << ", " << lo[i] + pages[i]
+    const Tenant& l = loaded[i];
+    const Tenant& t = tenants_[i];
+    SGXPL_CHECK_MSG(l.lo == t.lo && l.pages == t.pages,
+                    "snapshot elastic tenant " << i << " covers [" << l.lo
+                        << ", " << l.lo + l.pages
                         << ") but this run placed it at [" << t.lo << ", "
                         << t.lo + t.pages << ")");
-    t.quota = quota[i];
-    t.resident = resident[i];
-    t.window_faults = faults[i];
-    t.window_mapped = mapped[i];
-    t.window_accesses = accesses[i];
-    t.pressure_streak = static_cast<std::uint32_t>(pressure[i]);
-    t.idle_streak = static_cast<std::uint32_t>(idle[i]);
-    t.cooldown = static_cast<std::uint32_t>(cooldown[i]);
-    t.demoted = demoted[i] != 0;
   }
+  tenants_ = std::move(loaded);
   free_pool_ = pool;
   stats_.load(r);
   check_conservation();

@@ -87,25 +87,57 @@ std::string elastic_spec(const ElasticParams& p);
 std::optional<ElasticParams> parse_elastic_spec(std::string_view spec,
                                                 std::string* err = nullptr);
 
-/// Lifetime counters of the controller's decisions (serialized; published
-/// under "epc.elastic.*").
+/// Lifetime counters of the controller's decisions, one row each:
+/// X(member). This list declares the member and drives publish() (counter
+/// "epc.elastic.<member>"), save() and load() (label "el.stats.<member>").
+#define SGXPL_ELASTIC_STATS_FIELDS(X)                                      \
+  X(rebalance_ticks)                                                       \
+  X(grows) /* additive grants */                                           \
+  X(grow_pages) /* pages granted in total */                               \
+  X(shrinks) /* multiplicative decreases */                                \
+  X(shrink_pages) /* pages returned to the pool */                         \
+  X(demotion_shrinks) /* decreases driven by ladder demotions */           \
+  X(backpressure_shrinks) /* idle shrinks fast-tracked by backpressure */  \
+  X(idle_shrinks) /* ordinary idle decreases */                            \
+  X(floor_hits) /* decreases clamped at the floor */                       \
+  X(quota_evictions) /* evictions forced by quota enforcement */
+
 struct ElasticStats {
-  std::uint64_t rebalance_ticks = 0;
-  std::uint64_t grows = 0;            // additive grants
-  std::uint64_t grow_pages = 0;       // pages granted in total
-  std::uint64_t shrinks = 0;          // multiplicative decreases
-  std::uint64_t shrink_pages = 0;     // pages returned to the pool
-  std::uint64_t demotion_shrinks = 0; // decreases driven by ladder demotions
-  std::uint64_t backpressure_shrinks = 0;  // idle shrinks fast-tracked by
-                                           // channel backpressure
-  std::uint64_t idle_shrinks = 0;     // ordinary idle decreases
-  std::uint64_t floor_hits = 0;       // decreases clamped at the floor
-  std::uint64_t quota_evictions = 0;  // evictions forced by quota enforcement
+#define SGXPL_DECLARE_COUNTER(member) std::uint64_t member = 0;
+  SGXPL_ELASTIC_STATS_FIELDS(SGXPL_DECLARE_COUNTER)
+#undef SGXPL_DECLARE_COUNTER
 
   void publish(obs::MetricsRegistry& reg) const;
   void save(snapshot::Writer& w) const;
   void load(snapshot::Reader& r);
 };
+
+/// Per-tenant controller state, one row each: X(type, member). This list
+/// declares the member and drives save()/load(), one u64 column per row
+/// labeled "el.<member>" (a bool column holds 0/1).
+///   - lo, pages: the tenant's ELRANGE slice (geometry; load() checks it
+///     against this run's placement).
+///   - window_mapped: pages mapped this window (demand loads and committed
+///     preloads alike). A tenant is idle only when this, window_faults AND
+///     window_accesses are all zero — a tenant served perfectly by its
+///     preloads has no demand faults but is not idle, and shrinking it
+///     would tear out a working set earning its keep.
+///   - window_accesses: resident-page hits this window (accessed-bit
+///     liveness; see note_access). The third leg of the idle judgment: a
+///     fully-resident tenant faults on nothing and maps nothing yet is very
+///     much alive.
+#define SGXPL_ELASTIC_TENANT_FIELDS(X) \
+  X(PageNum, lo)                       \
+  X(PageNum, pages)                    \
+  X(PageNum, quota)                    \
+  X(PageNum, resident)                 \
+  X(std::uint64_t, window_faults)      \
+  X(std::uint64_t, window_mapped)      \
+  X(std::uint64_t, window_accesses)    \
+  X(std::uint32_t, pressure_streak)    \
+  X(std::uint32_t, idle_streak)        \
+  X(std::uint32_t, cooldown)           \
+  X(bool, demoted)
 
 /// One controller per shared driver (conservation is a global property).
 /// Lifecycle: configure() -> add_tenant() per tenant in address order ->
@@ -186,25 +218,9 @@ class ElasticEpcController {
 
  private:
   struct Tenant {
-    PageNum lo = 0;
-    PageNum pages = 0;
-    PageNum quota = 0;
-    PageNum resident = 0;
-    std::uint64_t window_faults = 0;
-    /// Pages mapped for this tenant in the current window (demand loads and
-    /// committed preloads alike). A tenant is idle only when this,
-    /// window_faults AND window_accesses are all zero — a tenant served
-    /// perfectly by its preloads has no demand faults but is not idle, and
-    /// shrinking it would tear out a working set earning its keep.
-    std::uint64_t window_mapped = 0;
-    /// Resident-page hits this window (accessed-bit liveness; see
-    /// note_access). The third leg of the idle judgment: a fully-resident
-    /// tenant faults on nothing and maps nothing yet is very much alive.
-    std::uint64_t window_accesses = 0;
-    std::uint32_t pressure_streak = 0;
-    std::uint32_t idle_streak = 0;
-    std::uint32_t cooldown = 0;
-    bool demoted = false;
+#define SGXPL_DECLARE_FIELD(type, member) type member{};
+    SGXPL_ELASTIC_TENANT_FIELDS(SGXPL_DECLARE_FIELD)
+#undef SGXPL_DECLARE_FIELD
   };
 
   /// Multiplicative decrease clamped at the floor; returns pages freed.

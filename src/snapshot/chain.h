@@ -75,8 +75,7 @@ struct ChainFrame {
 template <class Run>
 class Snapshotter {
  public:
-  /// `full_every` = 1 means every checkpoint is a full snapshot (the v1
-  /// behaviour); N > 1 stacks N-1 deltas on each base. 0 is treated as 1.
+  /// `full_every` = 1 means every checkpoint is a full snapshot; N > 1 stacks N-1 deltas on each base. 0 is treated as 1.
   explicit Snapshotter(std::uint64_t full_every = 1)
       : full_every_(full_every == 0 ? 1 : full_every) {}
 
@@ -416,8 +415,7 @@ ChainSalvageReport salvage_chain_from_files(Run& run,
 /// chain (stale deltas left over from an older chain stop the scan and are
 /// ignored). Returns false — leaving the run untouched — when the base file
 /// is absent or identifies a different run configuration; still throws on
-/// corrupt frames or a broken chain. Format-v1 files restore through the
-/// migration shim (they are always chainless full snapshots).
+/// corrupt frames or a broken chain.
 template <class Run>
 bool restore_chain_from_files(Run& run, const std::string& base_path) {
   if (!file_readable(base_path)) return false;
@@ -425,9 +423,6 @@ bool restore_chain_from_files(Run& run, const std::string& base_path) {
   frames.push_back(read_file(base_path));
   validate_frame(frames[0]);
   Reader probe(frames[0]);
-  if (probe.version() < 2) {
-    return run.restore_if_compatible(frames[0]);
-  }
   const ChainHeader base = read_chain_header(probe);
   if (base.kind != FrameKind::kFull) {
     throw ChainError("'" + base_path +

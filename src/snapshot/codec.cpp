@@ -317,10 +317,10 @@ Reader::Reader(const std::uint8_t* data, std::size_t size)
   }
   pos_ = kMagic.size();
   version_ = take_u32();
-  if (version_ < kMinReadVersion || version_ > kFormatVersion) {
+  if (version_ != kFormatVersion) {
     std::ostringstream os;
-    os << "unsupported format version " << version_ << " (this build reads "
-       << kMinReadVersion << ".." << kFormatVersion
+    os << "unsupported format version " << version_
+       << " (this build reads version " << kFormatVersion
        << "); re-create the snapshot with a matching build";
     corrupt(os.str());
   }
@@ -683,7 +683,7 @@ FrameProbe probe_frame(const std::vector<std::uint8_t>& bytes) noexcept {
     return p;
   }
   const std::uint32_t version = le32(kMagic.size());
-  if (version < kMinReadVersion || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     p.reason = "unsupported format version " + std::to_string(version);
     p.offset = kMagic.size();
     return p;
@@ -800,11 +800,6 @@ ChainHeader read_chain_header(Reader& r) {
 
 ChainHeader read_chain_header_bytes(const std::vector<std::uint8_t>& bytes) {
   Reader r(bytes);
-  if (r.version() < 2) {
-    throw CheckFailure(
-        "snapshot: format v1 frames predate checkpoint chains; upgrade the "
-        "file first (snapshot_tool upgrade)");
-  }
   return read_chain_header(r);
 }
 

@@ -6,7 +6,7 @@
 // snapshot written on any host restores on any other):
 //
 //   magic   8 bytes  "SGXPLSNP"
-//   version u32      format version (kFormatVersion); unknown versions are
+//   version u32      format version (kFormatVersion); any other version is
 //                    rejected, never guessed at
 //   count   u32      number of sections
 //   section*:
@@ -28,14 +28,13 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace sgxpl::snapshot {
 
+/// The only format version this build writes and reads.
 inline constexpr std::uint32_t kFormatVersion = 2;
-/// Oldest version the Reader still accepts (v1 frames are readable for
-/// migration; run-state loads require v2 — see migrate.h).
-inline constexpr std::uint32_t kMinReadVersion = 1;
 inline constexpr std::string_view kMagic = "SGXPLSNP";
 
 /// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), portable
@@ -68,8 +67,8 @@ class Writer {
   void str(std::string_view label, std::string_view v);
   void u64_vec(std::string_view label, const std::vector<std::uint64_t>& v);
 
-  /// Re-emit a generically decoded field byte-identically (the migration
-  /// shim routes v1 fields into v2 sections through this).
+  /// Re-emit a generically decoded field byte-identically (the carves copy
+  /// fields between frames through this).
   void field(const FieldView& f);
   /// Emit a whole section with a verbatim payload copied from another frame
   /// (CRC is recomputed, which yields the same value for the same bytes).
@@ -175,6 +174,29 @@ class Reader {
   std::size_t section_end_ = 0; // payload end of the current section
 };
 
+/// Save one scalar struct field by its C++ type: bool as a boolean field,
+/// any other integer as u64. The X-macro field tables (DriverStats,
+/// core::Metrics, ...) expand to this and to load_field.
+template <class T>
+void save_field(Writer& w, std::string_view label, T v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.boolean(label, v);
+  } else {
+    w.u64(label, static_cast<std::uint64_t>(v));
+  }
+}
+
+/// Inverse of save_field; narrower integers are truncated like the
+/// hand-written loaders always did.
+template <class T>
+void load_field(Reader& r, std::string_view label, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = r.boolean(label);
+  } else {
+    v = static_cast<T>(r.u64(label));
+  }
+}
+
 /// Result of comparing two snapshots field-by-field.
 struct Diff {
   bool identical = true;
@@ -217,7 +239,7 @@ struct FrameProbe {
 };
 
 /// Non-throwing structural + integrity probe of a framed snapshot: magic,
-/// version range, section-table walk, declared-count match, and every
+/// version, section-table walk, declared-count match, and every
 /// section's payload CRC32C (validate_frame leaves CRCs to the decoder;
 /// this checks them up front). Catches every truncation and every payload
 /// bit flip; the only corruption it cannot see is a flip inside a section

@@ -140,12 +140,6 @@ const FieldView& raw_field(const RawSection& s, const std::string& label) {
 std::vector<std::uint8_t> extract_enclave(
     const std::vector<std::uint8_t>& bytes, std::uint64_t enclave) {
   validate_frame(bytes);
-  {
-    Reader probe(bytes);
-    SGXPL_CHECK_MSG(probe.version() >= 2,
-                    "format v1 frames have no per-enclave sections; upgrade "
-                    "the file first (snapshot_tool upgrade)");
-  }
   const std::vector<RawSection> secs = decode_raw_sections(bytes);
   SGXPL_CHECK_MSG(secs.size() >= 2 && secs[0].tag == "CHNH" &&
                       secs[1].tag == "META",
@@ -425,12 +419,6 @@ std::vector<std::uint8_t> extract_resumable(
     const std::vector<std::uint8_t>& bytes, std::uint64_t enclave,
     const TenantGeometry& geo) {
   validate_frame(bytes);
-  {
-    Reader probe(bytes);
-    SGXPL_CHECK_MSG(probe.version() >= 2,
-                    "format v1 frames have no per-enclave sections; upgrade "
-                    "the file first (snapshot_tool upgrade)");
-  }
   const std::vector<RawSection> secs = decode_raw_sections(bytes);
   SGXPL_CHECK_MSG(secs.size() >= 2 && secs[0].tag == "CHNH" &&
                       secs[1].tag == "META",
@@ -570,8 +558,6 @@ std::vector<std::uint8_t> extract_resumable(const core::MultiEnclaveRun& run,
 ExtractedEnclave read_extracted(const std::vector<std::uint8_t>& bytes) {
   validate_frame(bytes);
   Reader r(bytes);
-  SGXPL_CHECK_MSG(r.version() >= 2,
-                  "not an extracted-enclave frame (format v1)");
   const ChainHeader chain = read_chain_header(r);
   SGXPL_CHECK_MSG(chain.kind == FrameKind::kFull,
                   "extracted-enclave frames are standalone full frames");

@@ -73,8 +73,7 @@ struct ExtractedEnclave {
 /// Rewrite one tenant's sections from a v2 multi-enclave frame as a
 /// standalone v2 full frame (META kind "enclave-extract" + the tenant's
 /// ENCM/APPS and DFPE when present), so one tenant can be shipped or
-/// inspected without the co-run. v1 frames must be upgraded first. Throws
-/// CheckFailure when `bytes` is not a multi-enclave full frame or `enclave`
+/// inspected without the co-run. Throws CheckFailure when `bytes` is not a multi-enclave full frame or `enclave`
 /// is out of range (the refusal the recovery tests pin).
 std::vector<std::uint8_t> extract_enclave(const std::vector<std::uint8_t>& bytes,
                                           std::uint64_t enclave);
@@ -102,7 +101,7 @@ ExtractedEnclave read_extracted(const std::vector<std::uint8_t>& bytes);
 /// eviction/scan statistics carry over whole) but exact on all per-page
 /// state.
 ///
-/// Typed refusals (CheckFailure): delta frames, v1 frames, out-of-range
+/// Typed refusals (CheckFailure): delta frames, out-of-range
 /// enclave or geometry, a non-CLOCK eviction policy on a co-tenant carve
 /// (other policies serialize global page lists this carve cannot rebase),
 /// and a DFP tenant placed above offset 0 (its engine state is keyed to

@@ -9,20 +9,25 @@
 #include "snapshot/codec.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/multi_enclave.h"
 #include "core/scheme.h"
 #include "core/simulator.h"
+#include "golden_recipe.h"
 #include "sip/instrumenter.h"
 #include "snapshot/chain.h"
+#include "snapshot/snapshotter.h"
 #include "trace/generators.h"
 
 namespace sgxpl {
@@ -328,9 +333,21 @@ TEST(SnapshotCorruption, ReorderedSectionsAreRejectedByStrictReads) {
       << d.first_divergence;
 }
 
+/// `entry` must throw a CheckFailure whose message contains `want`.
+void expect_refused(const char* entry, const std::function<void()>& load,
+                    const std::string& want) {
+  try {
+    load();
+    ADD_FAILURE() << entry << " accepted the frame";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << entry << ": " << e.what();
+  }
+}
+
 TEST(SnapshotCorruption, UnknownVersionIsRejectedWithGuidance) {
   auto frame = sample_frame();
-  frame[snapshot::kMagic.size()] = 9;  // version u32 LSB (currently 1)
+  frame[snapshot::kMagic.size()] = 9;  // version u32 LSB (the writer emits 2)
   try {
     Reader r(frame);
     FAIL() << "version 9 accepted";
@@ -340,6 +357,55 @@ TEST(SnapshotCorruption, UnknownVersionIsRejectedWithGuidance) {
         << what;
     EXPECT_NE(what.find("re-create"), std::string::npos) << what;
   }
+
+  // Version 1 is the retired format: a v2 golden patched to claim it must
+  // be refused, typed, at every entry point that reads run frames.
+  const std::string dir = std::string(SGXPL_GOLDEN_DIR) + "/v2/";
+  auto single = snapshot::read_file(dir + "single-dfpstop.snap");
+  auto multi = snapshot::read_file(dir + "multi.snap");
+  ASSERT_EQ(single[snapshot::kMagic.size()], snapshot::kFormatVersion);
+  single[snapshot::kMagic.size()] = 1;
+  multi[snapshot::kMagic.size()] = 1;
+  const std::string want = "unsupported format version 1";
+
+  const trace::Trace t = golden::single_trace();
+  const sip::InstrumentationPlan plan = golden::single_plan();
+  core::SimulationRun run(golden::single_config("dfpstop"), t, &plan);
+  expect_refused("SimulationRun::load_bytes",
+                 [&] { run.load_bytes(single); }, want);
+
+  const trace::Trace a = golden::multi_trace(11);
+  const trace::Trace b = golden::multi_trace(12);
+  core::MultiEnclaveRun multi_run(golden::multi_config(),
+                                  golden::multi_apps(a, b));
+  expect_refused("MultiEnclaveRun::load_bytes",
+                 [&] { multi_run.load_bytes(multi); }, want);
+
+  const std::string single_path = testing::TempDir() + "sgxpl-v1-single.snap";
+  snapshot::write_file_atomic(single_path, single);
+  expect_refused(
+      "restore_chain_from_files",
+      [&] { (void)snapshot::restore_chain_from_files(run, single_path); },
+      want);
+
+  expect_refused("extract_enclave",
+                 [&] { (void)snapshot::extract_enclave(multi, 0); }, want);
+
+  const std::string multi_path = testing::TempDir() + "sgxpl-v1-multi.snap";
+  snapshot::write_file_atomic(multi_path, multi);
+  const std::string cmd =
+      std::string(SGXPL_TOOL_BIN) + " info " + multi_path + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr) << cmd;
+  std::string out;
+  char buf[512];
+  while (fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  const int status = pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << out;
+  EXPECT_EQ(out.rfind("error: ", 0), 0u) << out;
+  EXPECT_NE(out.find(want), std::string::npos) << out;
+  std::remove(single_path.c_str());
+  std::remove(multi_path.c_str());
 }
 
 TEST(SnapshotCorruption, NotASnapshotFileIsRejected) {

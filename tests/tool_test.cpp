@@ -83,8 +83,7 @@ TEST(Tool, EverySubcommandRejectsAMissingFileTyped) {
   const std::string ghost = tmp_path("ghost.snap");
   std::remove(ghost.c_str());
   for (const std::string& cmd :
-       {"info " + ghost, "upgrade " + ghost + " " + tmp_path("out.snap"),
-        "extract 0 " + ghost + " " + tmp_path("out.snap"),
+       {"info " + ghost, "extract 0 " + ghost + " " + tmp_path("out.snap"),
         "migrate " + ghost + " 0 " + tmp_path("out.snap"),
         "diff " + ghost + " " + ghost, "verify-chain " + ghost}) {
     expect_typed_failure(run_tool(cmd), cmd);
@@ -95,8 +94,7 @@ TEST(Tool, EverySubcommandRejectsGarbageBytesTyped) {
   const std::string junk = tmp_path("junk.snap");
   write_garbage(junk);
   for (const std::string& cmd :
-       {"info " + junk, "upgrade " + junk + " " + tmp_path("out.snap"),
-        "extract 0 " + junk + " " + tmp_path("out.snap"),
+       {"info " + junk, "extract 0 " + junk + " " + tmp_path("out.snap"),
         "migrate " + junk + " 0 " + tmp_path("out.snap"),
         "diff " + junk + " " + junk, "verify-chain " + junk}) {
     expect_typed_failure(run_tool(cmd), cmd);
