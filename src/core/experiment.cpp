@@ -1,5 +1,7 @@
 #include "core/experiment.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/stats.h"
 
@@ -24,12 +26,7 @@ WorkloadComparison compare_schemes(const trace::Workload& workload,
   const trace::Trace ref = workload.make(trace::ref_params(opts.scale));
 
   // Compile the SIP plan once if any requested scheme uses it.
-  bool needs_sip = false;
-  for (const Scheme s : schemes) {
-    SimConfig probe = base_cfg;
-    probe.scheme = s;
-    needs_sip = needs_sip || probe.uses_sip();
-  }
+  const bool needs_sip = std::any_of(schemes.begin(), schemes.end(), uses_sip);
   sip::InstrumentationPlan plan;
   if (needs_sip && workload.info.sip_supported) {
     auto compiled = sip::compile_workload(workload, base_cfg.sip,
@@ -80,12 +77,7 @@ std::vector<ReplicatedResult> compare_schemes_replicated(
 
   // The SIP plan is compiled once from the train input, as in the paper;
   // only the measurement input varies across replicas.
-  bool needs_sip = false;
-  for (const Scheme s : schemes) {
-    SimConfig probe = base_cfg;
-    probe.scheme = s;
-    needs_sip = needs_sip || probe.uses_sip();
-  }
+  const bool needs_sip = std::any_of(schemes.begin(), schemes.end(), uses_sip);
   sip::InstrumentationPlan plan;
   if (needs_sip && w->info.sip_supported) {
     plan = sip::compile_workload(*w, base_cfg.sip,

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "core/per_enclave_policy.h"
 #include "dfp/dfp_engine.h"
 #include "inject/fault_injector.h"
 #include "obs/event_log.h"
@@ -17,85 +18,6 @@
 namespace sgxpl::core {
 
 namespace {
-
-/// Routes driver callbacks to per-enclave DFP engines: faults by ProcessId,
-/// page-scoped events (completion/abort/eviction) by ELRANGE offset.
-class PerEnclavePolicy final : public sgxsim::PreloadPolicy {
- public:
-  struct Slot {
-    std::unique_ptr<dfp::DfpEngine> engine;  // null = no DFP for this app
-    PageNum lo = 0;
-    PageNum hi = 0;
-  };
-
-  explicit PerEnclavePolicy(std::vector<Slot> slots)
-      : slots_(std::move(slots)) {}
-
-  std::vector<PageNum> on_fault(ProcessId pid, PageNum page,
-                                Cycles now) override {
-    auto& slot = slots_.at(pid);
-    if (slot.engine == nullptr) {
-      return {};
-    }
-    // Predictions are already in the combined address space (the engine
-    // sees combined page numbers); clamp to the owner's ELRANGE so one
-    // enclave never preloads into another's range.
-    auto pages = slot.engine->on_fault(pid, page, now);
-    std::erase_if(pages, [&slot](PageNum p) {
-      return p < slot.lo || p >= slot.hi;
-    });
-    return pages;
-  }
-
-  void on_preload_completed(PageNum page, Cycles now) override {
-    if (auto* s = owner(page); s != nullptr && s->engine != nullptr) {
-      s->engine->on_preload_completed(page, now);
-    }
-  }
-
-  void on_preloads_aborted(const std::vector<PageNum>& pages,
-                           Cycles now) override {
-    for (const PageNum p : pages) {
-      if (auto* s = owner(p); s != nullptr && s->engine != nullptr) {
-        s->engine->on_preloads_aborted({p}, now);
-      }
-    }
-  }
-
-  void on_preloaded_page_evicted(PageNum page, bool was_accessed,
-                                 Cycles now) override {
-    if (auto* s = owner(page); s != nullptr && s->engine != nullptr) {
-      s->engine->on_preloaded_page_evicted(page, was_accessed, now);
-    }
-  }
-
-  void on_scan(const sgxsim::PageTable& pt, Cycles now) override {
-    for (auto& s : slots_) {
-      if (s.engine != nullptr) {
-        s.engine->on_scan(pt, now);
-      }
-    }
-  }
-
-  const dfp::DfpEngine* engine(std::size_t i) const {
-    return slots_.at(i).engine.get();
-  }
-  dfp::DfpEngine* mutable_engine(std::size_t i) {
-    return slots_.at(i).engine.get();
-  }
-
- private:
-  Slot* owner(PageNum page) {
-    for (auto& s : slots_) {
-      if (page >= s.lo && page < s.hi) {
-        return &s;
-      }
-    }
-    return nullptr;
-  }
-
-  std::vector<Slot> slots_;
-};
 
 struct AppState {
   std::size_t cursor = 0;
@@ -128,19 +50,18 @@ struct MultiEnclaveRun::Impl {
     std::vector<PerEnclavePolicy::Slot> slots;
     slots.reserve(apps.size());
     for (std::size_t i = 0; i < apps.size(); ++i) {
-      SimConfig probe = cfg;
-      probe.scheme = apps[i].scheme;
+      const Scheme scheme = apps[i].scheme;
       PerEnclavePolicy::Slot slot;
       slot.lo = offset[i];
       slot.hi = offset[i] + apps[i].trace->elrange_pages();
-      if (probe.uses_dfp()) {
+      if (uses_dfp(scheme)) {
         dfp::DfpParams params = cfg.dfp;
-        if (probe.dfp_stop_forced()) {
+        if (dfp_stop_forced(scheme)) {
           params.stop_enabled = true;
         }
         slot.engine = std::make_unique<dfp::DfpEngine>(params);
       }
-      if (probe.uses_sip()) {
+      if (uses_sip(scheme)) {
         SGXPL_CHECK_MSG(apps[i].plan != nullptr,
                         "SIP scheme needs a plan (enclave " << i << ")");
       }
@@ -275,7 +196,8 @@ struct MultiEnclaveRun::Impl {
       r.leave_section();
       if (has_dfp) {
         r.enter_section("DFPE");
-        policy->mutable_engine(i)->load(r);
+        policy->mutable_engine(i)->load(
+            r, offset[i] + apps[i].trace->elrange_pages());
         r.leave_section();
       }
     }
@@ -338,9 +260,7 @@ void MultiEnclaveRun::step() {
   st.metrics.compute_cycles += a.gap;
   ++st.metrics.accesses;
 
-  SimConfig probe = im.cfg;
-  probe.scheme = app.scheme;
-  if (probe.uses_sip() && app.plan->instrumented(a.site)) {
+  if (uses_sip(app.scheme) && app.plan->instrumented(a.site)) {
     st.now += im.cfg.costs.bitmap_check;
     st.metrics.sip_check_cycles += im.cfg.costs.bitmap_check;
     ++st.metrics.sip_checks;

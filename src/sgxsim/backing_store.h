@@ -8,8 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "common/types.h"
 #include "snapshot/fwd.h"
@@ -18,7 +17,11 @@ namespace sgxpl::sgxsim {
 
 class BackingStore {
  public:
+  /// A store for the `elrange_pages` pages of one ELRANGE.
+  explicit BackingStore(PageNum elrange_pages);
+
   /// EWB: write the page out, bumping its version. Returns the new version.
+  /// Versions are 32-bit: an eviction that would wrap one is refused.
   std::uint64_t evict(PageNum page);
 
   /// ELDU/ELDB: read the page back. Returns the version that must match the
@@ -31,8 +34,10 @@ class BackingStore {
   std::uint64_t total_evictions() const noexcept { return total_evictions_; }
   std::uint64_t total_loads() const noexcept { return total_loads_; }
 
-  /// Checkpoint/restore. Version slots are serialized sorted by page number
-  /// so identical states always produce identical snapshot bytes.
+  /// Checkpoint/restore. Version slots of evicted pages are serialized
+  /// sorted by page number so identical states always produce identical
+  /// snapshot bytes. Full and delta loads refuse a page outside ELRANGE,
+  /// version 0 and a version above UINT32_MAX.
   void save(snapshot::Writer& w) const;
   void load(snapshot::Reader& r);
 
@@ -45,14 +50,17 @@ class BackingStore {
   void clear_dirty();
 
  private:
-  struct Slot {
-    std::uint64_t version = 0;
-  };
-  std::unordered_map<PageNum, Slot> slots_;
+  void mark_dirty(PageNum page);
+  /// Validate one (page, version) pair of a loaded frame and install it.
+  void restore_slot(PageNum page, std::uint64_t version);
+
+  /// Page-indexed EWB version; 0 = never evicted.
+  std::vector<std::uint32_t> versions_;
   std::uint64_t total_evictions_ = 0;
   mutable std::uint64_t total_loads_ = 0;
   mutable std::uint64_t gen_ = 0;
-  std::unordered_set<PageNum> dirty_;
+  std::vector<PageNum> dirty_list_;
+  std::vector<bool> dirty_flag_;
 };
 
 }  // namespace sgxpl::sgxsim

@@ -96,6 +96,7 @@ Driver::Driver(const EnclaveConfig& config, const CostModel& costs,
       policy_(policy),
       page_table_(config.elrange_pages),
       epc_(config.epc_pages),
+      backing_(config.elrange_pages),
       channel_(config.serial_channel, config.channel),
       bitmap_(config.elrange_pages),
       eviction_(make_eviction_policy(config.eviction, epc_)),
@@ -141,7 +142,7 @@ AccessOutcome Driver::access(PageNum page, Cycles now, ProcessId pid) {
     obs::ScopedSpan lookup(prof_, obs::Phase::kPageTableLookup);
     if (page_table_.present(page)) {
       if (page_table_.touch(page)) {
-        ++stats_.preloads_used;
+        note_preload_used(page);
       }
       eviction_->on_access(page);
       if (elastic_engaged_) {
@@ -173,7 +174,7 @@ AccessOutcome Driver::access(PageNum page, Cycles now, ProcessId pid) {
   if (page_table_.present(page)) {
     ++stats_.fault_wait_hits;
     if (page_table_.touch(page)) {
-      ++stats_.preloads_used;
+      note_preload_used(page);
     }
     eviction_->on_access(page);
     const Cycles done = after_aex + costs_.eresume;
@@ -297,7 +298,7 @@ AccessOutcome Driver::access(PageNum page, Cycles now, ProcessId pid) {
     }
   }
   if (page_table_.touch(page)) {
-    ++stats_.preloads_used;
+    note_preload_used(page);
   }
   eviction_->on_access(page);
   if (log_ != nullptr) {
@@ -1025,6 +1026,13 @@ void Driver::commit_load(const ChannelOp& op) {
         }
       }
     }
+  }
+}
+
+void Driver::note_preload_used(PageNum page) {
+  ++stats_.preloads_used;
+  if (policy_ != nullptr) {
+    policy_->on_preloaded_page_touched(page);
   }
 }
 

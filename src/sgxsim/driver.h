@@ -410,6 +410,8 @@ class Driver {
   /// Apply a completed channel op: evict a victim if needed, map the page.
   void commit_load(const ChannelOp& op);
 
+  /// First touch of a preloaded page: count it and tell the policy.
+  void note_preload_used(PageNum page);
   void evict_one(PageNum pinned);
   /// Evict exactly `victim` (already selected): unload, unmap, release the
   /// slot, version the backing copy, clear the bitmap bit.

@@ -2,8 +2,9 @@
 //
 // The DFP engine (src/dfp) implements this. The driver invokes it from the
 // fault handler (prediction), from the channel bookkeeping (completion /
-// abort / eviction of preloaded pages), and from the periodic service-thread
-// scan (the CLOCK access-bit sweep the abort counters piggyback on, §4.2).
+// abort / eviction of preloaded pages), from the access path (first touch
+// of a preloaded page), and from the periodic service-thread scan (the
+// CLOCK access-bit sweep the abort counters piggyback on, §4.2).
 #pragma once
 
 #include <vector>
@@ -42,6 +43,15 @@ class PreloadPolicy {
   /// the application ever touched it (false = confirmed misprediction).
   virtual void on_preloaded_page_evicted(PageNum page, bool was_accessed,
                                          Cycles now) = 0;
+
+  /// The application touched preloaded `page` for the first time since it
+  /// was loaded (PageTable::touch() returned true: the access bit is now
+  /// set and the preloaded flag cleared). Called for every preload kind, so
+  /// a policy must ignore pages it does not track. The DFP engine takes it
+  /// as a hint of which pages its next on_scan() must re-judge, not as a
+  /// verdict: a page touched and then evicted before that scan still counts
+  /// as evicted unused. Default: no-op.
+  virtual void on_preloaded_page_touched(PageNum /*page*/) {}
 
   /// Periodic service-thread scan. The policy may inspect access bits
   /// through `pt` to account which of its preloaded pages were used.

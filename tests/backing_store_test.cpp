@@ -6,13 +6,13 @@ namespace sgxpl::sgxsim {
 namespace {
 
 TEST(BackingStore, NeverEvictedPageLoadsVersionZero) {
-  BackingStore bs;
+  BackingStore bs(64);
   EXPECT_EQ(bs.load(42), 0u);
   EXPECT_EQ(bs.eviction_count(42), 0u);
 }
 
 TEST(BackingStore, EvictBumpsAntiReplayVersion) {
-  BackingStore bs;
+  BackingStore bs(64);
   EXPECT_EQ(bs.evict(7), 1u);
   EXPECT_EQ(bs.evict(7), 2u);
   EXPECT_EQ(bs.load(7), 2u);
@@ -20,7 +20,7 @@ TEST(BackingStore, EvictBumpsAntiReplayVersion) {
 }
 
 TEST(BackingStore, FreshnessPerPage) {
-  BackingStore bs;
+  BackingStore bs(64);
   bs.evict(1);
   bs.evict(1);
   bs.evict(2);
@@ -31,7 +31,7 @@ TEST(BackingStore, FreshnessPerPage) {
 }
 
 TEST(BackingStore, GlobalCounters) {
-  BackingStore bs;
+  BackingStore bs(64);
   bs.evict(1);
   bs.evict(2);
   bs.load(1);

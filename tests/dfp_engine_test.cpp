@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "sgxsim/page_table.h"
+#include "snapshot/codec.h"
 
 namespace sgxpl::dfp {
 namespace {
@@ -65,6 +67,32 @@ TEST(PreloadedPageList, ScanDropsNonResidentPages) {
   EXPECT_EQ(list.scan(pt), 0u);
   EXPECT_EQ(list.tracked(), 0u);
   EXPECT_EQ(list.evicted_unused(), 1u);
+}
+
+TEST(PreloadedPageList, LoadRefusesPagesOutsideTheRangeOrUnsorted) {
+  const auto frame = [](std::vector<std::uint64_t> pages) {
+    snapshot::Writer w;
+    w.begin_section("PPLS");
+    w.u64("ppl.preload_counter", pages.size());
+    w.u64("ppl.acc_preload_counter", 0);
+    w.u64("ppl.evicted_unused", 0);
+    w.u64_vec("ppl.pages", pages);
+    w.end_section();
+    return w.finish();
+  };
+  const auto load = [](const std::vector<std::uint8_t>& bytes) {
+    PreloadedPageList list;
+    snapshot::Reader r(bytes);
+    r.enter_section("PPLS");
+    list.load(r, 100);
+    r.leave_section();
+    return list.pages();
+  };
+  EXPECT_EQ(load(frame({3, 64, 99})), (std::vector<PageNum>{3, 64, 99}));
+  EXPECT_THROW(load(frame({3, 100})), CheckFailure);
+  EXPECT_THROW(load(frame({1ull << 62})), CheckFailure);
+  EXPECT_THROW(load(frame({5, 3})), CheckFailure);
+  EXPECT_THROW(load(frame({5, 5})), CheckFailure);
 }
 
 TEST(DfpEngine, ForwardsPredictions) {

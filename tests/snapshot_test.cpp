@@ -735,6 +735,158 @@ TEST(ChainCorruption, DeltaFrameCannotBeRestoredOnItsOwn) {
   }
 }
 
+// --- backing-store frame checks ---------------------------------------------
+
+/// `bytes` decoded field by field, `edit` applied to the fields of section
+/// `tag`, and re-encoded with every section CRC recomputed.
+std::vector<std::uint8_t> edit_section(
+    const std::vector<std::uint8_t>& bytes, const std::string& tag,
+    const std::function<void(std::vector<snapshot::FieldView>&)>& edit) {
+  Reader r(bytes);
+  Writer w;
+  bool found = false;
+  while (r.sections_entered() < r.section_count()) {
+    const std::string t = r.enter_any_section();
+    std::vector<snapshot::FieldView> fields;
+    while (r.more_fields()) fields.push_back(r.next_field());
+    r.leave_section();
+    if (t == tag) {
+      edit(fields);
+      found = true;
+    }
+    w.begin_section(t);
+    for (const auto& f : fields) w.field(f);
+    w.end_section();
+  }
+  SGXPL_CHECK_MSG(found, "frame has no " << tag << " section");
+  auto out = w.finish();
+  SGXPL_CHECK_MSG(snapshot::probe_frame(out).ok,
+                  "the crafted frame must be CRC-valid");
+  return out;
+}
+
+snapshot::FieldView& field_of(std::vector<snapshot::FieldView>& fields,
+                              const std::string& label) {
+  for (auto& f : fields) {
+    if (f.label == label) return f;
+  }
+  throw CheckFailure("no field " + label);
+}
+
+/// Expect `fn` to throw a CheckFailure whose message contains `needle`.
+void expect_refusal(const std::function<void()>& fn,
+                    const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "accepted a frame that should be refused (" << needle
+                  << ")";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BackingStoreFrames, FullFrameRefusesBadPagesAndVersions) {
+  const FuzzChain chain = make_fuzz_chain({60});
+  const trace::Trace t = fuzz_trace();  // ELRANGE = 64 pages
+  const sip::InstrumentationPlan plan = fuzz_plan();
+  const auto load = [&](const std::vector<std::uint8_t>& bytes) {
+    return [&t, &plan, bytes] {
+      core::SimulationRun run(fuzz_cfg(), t, &plan);
+      run.load_bytes(bytes);
+    };
+  };
+  // The unedited frame carries evicted pages and loads.
+  const auto& base = chain.frames[0];
+  edit_section(base, "BSTR", [](std::vector<snapshot::FieldView>& f) {
+    ASSERT_FALSE(field_of(f, "backing.pages").vecv.empty());
+  });
+  EXPECT_NO_THROW(load(base)());
+
+  expect_refusal(load(edit_section(base, "BSTR",
+                                   [](std::vector<snapshot::FieldView>& f) {
+                                     field_of(f, "backing.pages").vecv
+                                         .push_back(64);
+                                     field_of(f, "backing.versions").vecv
+                                         .push_back(1);
+                                   })),
+                 "holds page 64 outside the 64-page ELRANGE");
+  expect_refusal(load(edit_section(base, "BSTR",
+                                   [](std::vector<snapshot::FieldView>& f) {
+                                     field_of(f, "backing.versions").vecv[0] =
+                                         0;
+                                   })),
+                 "holds version 0 for page");
+  expect_refusal(load(edit_section(base, "BSTR",
+                                   [](std::vector<snapshot::FieldView>& f) {
+                                     field_of(f, "backing.versions").vecv[0] =
+                                         1ull << 32;
+                                   })),
+                 "above the 32-bit version range");
+}
+
+TEST(BackingStoreFrames, DeltaFrameRefusesBadPagesAndVersions) {
+  const FuzzChain chain = make_fuzz_chain({40, 60});
+  const trace::Trace t = fuzz_trace();
+  const sip::InstrumentationPlan plan = fuzz_plan();
+  const auto apply = [&](const std::vector<std::uint8_t>& delta) {
+    return [&t, &plan, &chain, delta] {
+      core::SimulationRun run(fuzz_cfg(), t, &plan);
+      run.load_bytes(chain.frames[0]);
+      run.apply_delta_bytes(delta);
+    };
+  };
+  const auto& delta = chain.frames[1];
+  edit_section(delta, "BSTD", [](std::vector<snapshot::FieldView>& f) {
+    ASSERT_FALSE(field_of(f, "backing.delta_pages").vecv.empty());
+  });
+  EXPECT_NO_THROW(apply(delta)());
+
+  expect_refusal(apply(edit_section(
+                     delta, "BSTD",
+                     [](std::vector<snapshot::FieldView>& f) {
+                       field_of(f, "backing.delta_pages").vecv.push_back(1000);
+                       field_of(f, "backing.delta_versions").vecv.push_back(1);
+                     })),
+                 "holds page 1000 outside the 64-page ELRANGE");
+  expect_refusal(apply(edit_section(
+                     delta, "BSTD",
+                     [](std::vector<snapshot::FieldView>& f) {
+                       field_of(f, "backing.delta_versions").vecv[0] = 0;
+                     })),
+                 "holds version 0 for page");
+  expect_refusal(apply(edit_section(
+                     delta, "BSTD",
+                     [](std::vector<snapshot::FieldView>& f) {
+                       field_of(f, "backing.delta_versions").vecv[0] =
+                           (1ull << 32) + 5;
+                     })),
+                 "above the 32-bit version range");
+}
+
+TEST(BackingStoreFrames, EvictionThatWouldWrapAVersionIsRefused) {
+  // Every ELRANGE page restored at the top of the 32-bit version range: the
+  // run's next EWB must refuse to wrap it.
+  const FuzzChain chain = make_fuzz_chain({60});
+  const trace::Trace t = fuzz_trace();
+  const sip::InstrumentationPlan plan = fuzz_plan();
+  const auto maxed = edit_section(
+      chain.frames[0], "BSTR", [](std::vector<snapshot::FieldView>& f) {
+        auto& pages = field_of(f, "backing.pages").vecv;
+        auto& versions = field_of(f, "backing.versions").vecv;
+        pages.clear();
+        versions.clear();
+        for (std::uint64_t p = 0; p < 64; ++p) {
+          pages.push_back(p);
+          versions.push_back(std::numeric_limits<std::uint32_t>::max());
+        }
+      });
+  core::SimulationRun run(fuzz_cfg(), t, &plan);
+  run.load_bytes(maxed);
+  expect_refusal([&run] { run.run_to_end(); },
+                 "would overflow its 32-bit version");
+}
+
 // --- file IO ----------------------------------------------------------------
 
 TEST(SnapshotFile, AtomicWriteAndReadBack) {
