@@ -1,8 +1,10 @@
 #include "bench_common.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 
+#include "core/sharding.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
 #include "obs/time_series.h"
@@ -45,6 +47,23 @@ HarnessState& state() {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_unsigned(std::string_view text,
+                                            std::uint64_t lo,
+                                            std::uint64_t hi) {
+  int base = 10;
+  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+    text.remove_prefix(2);
+    base = 16;
+  }
+  std::uint64_t v = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v, base);
+  if (ec != std::errc{} || ptr != last || v < lo || v > hi) {
+    return std::nullopt;
+  }
+  return v;
+}
 
 double bench_scale() {
   if (const char* env = std::getenv("SGXPL_SCALE")) {
@@ -102,6 +121,19 @@ void init(int argc, char** argv, const std::string& bench,
         std::exit(2);
       }
       const std::string value = argv[++i];
+      // Every numeric flag goes through one strict parse: a sign, a stray
+      // suffix or an out-of-range count is an error, never a wrapped value.
+      const auto unsigned_value = [&](const char* what, std::uint64_t lo,
+                                      std::uint64_t hi) {
+        const auto v = parse_unsigned(value, lo, hi);
+        if (!v.has_value()) {
+          std::cerr << "error: " << arg << " wants " << what << " in [" << lo
+                    << ", " << hi << "], got '" << value << "'\n";
+          std::exit(2);
+        }
+        return *v;
+      };
+      constexpr std::uint64_t kAny = ~std::uint64_t{0};
       if (arg == "--json") {
         st.json_path = value;
       } else if (arg == "--trace") {
@@ -118,34 +150,17 @@ void init(int argc, char** argv, const std::string& bench,
         }
       } else if (arg == "--checkpoint-every") {
         st.checkpoint.every_accesses =
-            std::strtoull(value.c_str(), nullptr, 0);
-        if (st.checkpoint.every_accesses == 0) {
-          std::cerr << "error: --checkpoint-every wants a positive access "
-                       "count, got '"
-                    << value << "'\n";
-          std::exit(2);
-        }
+            unsigned_value("an access count", 1, kAny);
       } else if (arg == "--full-every") {
-        st.checkpoint.full_every = std::strtoull(value.c_str(), nullptr, 0);
-        if (st.checkpoint.full_every == 0) {
-          std::cerr << "error: --full-every wants a positive checkpoint "
-                       "count, got '"
-                    << value << "'\n";
-          std::exit(2);
-        }
+        st.checkpoint.full_every = unsigned_value("a checkpoint count", 1, kAny);
       } else if (arg == "--resume") {
         st.checkpoint.resume_path = value;
       } else if (arg == "--fail-dir") {
         st.fail_dir = value;
       } else if (arg == "--shards") {
-        st.shards = std::strtoull(value.c_str(), nullptr, 0);
-        if (st.shards == 0) {
-          std::cerr << "error: --shards wants a positive worker count, got '"
-                    << value << "'\n";
-          std::exit(2);
-        }
+        st.shards = unsigned_value("a worker count", 1, core::kMaxShardThreads);
       } else {
-        chaos_seed = std::strtoull(value.c_str(), nullptr, 0);
+        chaos_seed = unsigned_value("a seed", 0, kAny);
       }
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << bench
@@ -155,8 +170,9 @@ void init(int argc, char** argv, const std::string& bench,
                    "       [--checkpoint <snap>] [--checkpoint-every <n>]\n"
                    "       [--full-every <n>] [--resume <snap>]\n"
                    "       [--fail-dir <dir>] [--shards <k>]\n"
-                   "--shards runs sharded/fleet phases on k worker threads\n"
-                   "  (results are bit-identical for every k; default 1).\n"
+                   "--shards runs fleet phases and independent cells on k\n"
+                   "  worker threads, 1..256 (results are bit-identical for\n"
+                   "  every k; default 1). Numbers are decimal or 0x-hex.\n"
                    "--profile writes the merged phase-profile JSON (also\n"
                    "  embedded in --json under \"profile\" and as a flame\n"
                    "  track in --trace output; see docs/OBSERVABILITY.md).\n"

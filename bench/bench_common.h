@@ -36,16 +36,22 @@
 //                   frames beside the base are replayed automatically)
 //   --fail-dir <dir>          drop reproduction artifacts (e.g. diverging
 //                   delta chains) into <dir> on failure, for CI upload
-//   --shards <k>    run sharded/fleet phases on k step-phase worker threads
-//                   (bit-identical results for every k; default 1)
+//   --shards <k>    run fleet step phases and independent cells on k
+//                   worker threads, 1..256 (bit-identical results for
+//                   every k; default 1)
+//
+// Numeric values are strict: decimal or 0x-hex, no sign, no suffix; a
+// malformed or out-of-range value exits 2 with a message naming the flag.
 //
 // Environment:
 //   SGXPL_SCALE  scale factor for workload footprints/lengths (default 1.0,
 //                the paper-sized runs; use e.g. 0.2 for a quick pass).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.h"
@@ -105,10 +111,19 @@ const core::CheckpointOptions& checkpoint_options();
 /// any delta chain whose restore diverged, so CI can upload them.
 const std::string& fail_dir();
 
-/// The --shards worker count (default 1 = sequential). Sharded/fleet
-/// phases run their step phase on this many OS threads; results are
-/// bit-identical for every value (core/sharding.h's invariance contract).
+/// The --shards worker count (default 1 = sequential, at most
+/// core::kMaxShardThreads). Fleet supervisors run their epoch step phase
+/// on this many OS threads, and some benches fan independent cells out
+/// across them; results are bit-identical for every value (the
+/// supervisor's shard-count invariance, docs/ROBUSTNESS.md).
 std::uint64_t shards();
+
+/// The strict parse behind every numeric flag: the whole of `text` must be
+/// an unsigned integer, decimal or 0x-prefixed hex, with no sign, space or
+/// suffix, that fits 64 bits and lies in [lo, hi]. nullopt otherwise.
+std::optional<std::uint64_t> parse_unsigned(std::string_view text,
+                                            std::uint64_t lo,
+                                            std::uint64_t hi);
 
 /// Flush --json/--trace outputs. Benches end with `return bench::finish();`.
 int finish();

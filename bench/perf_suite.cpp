@@ -2,18 +2,15 @@
 // committed at the repo root as BENCH_<pr>.json, one point per PR, and
 // gated by scripts/bench_gate.py in CI.
 //
-// Two metric domains, split by name prefix:
-//   cycles.*  simulated-cycle scalars — deterministic (same code + seed =
-//             byte-identical values on any machine). These are the gated
-//             regression surface.
-//   wall.*    host wall-clock throughput — machine-dependent, reported for
-//             trend-watching but never gated.
+// Every cell reports cycles.* scalars only: simulated-cycle metrics that
+// are deterministic (same code + seed = byte-identical values on any
+// machine) and form the gated regression surface. Wall-clock throughput
+// is measured by perfbench (perfbench/README.md), which repeats passes and
+// records CPU time and host facts; this suite does not time anything.
 //
-// Noise controls: every wall-clock cell runs kReps repetitions and reports
-// the median; every cell pins its own scale and seeds, ignoring SGXPL_SCALE,
-// so a committed baseline is comparable across environments.
+// Every cell pins its own scale and seeds, ignoring SGXPL_SCALE, so a
+// committed baseline is comparable across environments.
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <vector>
 
@@ -21,14 +18,11 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/multi_enclave.h"
-#include "core/sharding.h"
 #include "core/simulator.h"
-#include "dfp/stream_predictor.h"
 #include "fleet/supervisor.h"
 #include "inject/chaos_plan.h"
 #include "inject/fleet_chaos.h"
 #include "trace/generators.h"
-#include "sgxsim/bitmap.h"
 #include "sgxsim/driver.h"
 #include "trace/workloads.h"
 
@@ -39,20 +33,6 @@ namespace {
 /// Cell scale, pinned independently of SGXPL_SCALE: the committed baseline
 /// must not depend on the environment the run happened in.
 constexpr double kCellScale = 0.05;
-constexpr int kReps = 5;
-
-/// Keep the compiler from deleting a measured loop.
-volatile std::uint64_t g_sink = 0;
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 /// paper_platform with the EPC scaled to the pinned cell scale (same ratio
 /// rule as bench_platform, but immune to SGXPL_SCALE), plus the harness
@@ -67,12 +47,11 @@ core::SimConfig cell_platform(core::Scheme scheme) {
   return cfg;
 }
 
-/// Cell A: resident fast path. Warm a small enclave completely, then time
-/// sequential resident accesses — the page-table-lookup path every scheme
-/// shares. Cycle domain: the warmup's fault/eviction counts.
-void cell_resident_fast_path(TextTable& tbl) {
+/// Cell A: warm-up of a small enclave that fits the EPC exactly — the
+/// fault path with no eviction pressure. Cycle domain: the warm-up's
+/// fault/eviction counts.
+void cell_warmup(TextTable& tbl) {
   constexpr PageNum kPages = 4096;
-  constexpr std::uint64_t kAccesses = 1'000'000;
   sgxsim::EnclaveConfig ecfg;
   ecfg.elrange_pages = kPages;
   ecfg.epc_pages = kPages;
@@ -85,33 +64,18 @@ void cell_resident_fast_path(TextTable& tbl) {
   for (PageNum p = 0; p < kPages; ++p) {
     now = driver.access(p, now).completion + 1;
   }
-  std::vector<double> rates;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t acc = 0;
-    for (std::uint64_t i = 0; i < kAccesses; ++i) {
-      const auto out = driver.access(i % kPages, now);
-      acc += out.completion;
-      now = out.completion + 1;
-    }
-    const double secs = seconds_since(t0);
-    g_sink = acc;
-    rates.push_back(static_cast<double>(kAccesses) / secs);
-  }
-  const double rate = median(rates);
-  bench::add_scalar("wall.micro.resident_accesses_per_sec", rate);
   bench::add_scalar("cycles.micro.warm_faults",
                     static_cast<double>(driver.stats().faults));
   bench::add_scalar("cycles.micro.warm_evictions",
                     static_cast<double>(driver.stats().evictions));
-  tbl.add_row({"resident fast path", TextTable::fmt(rate / 1e6, 2) + " M/s",
-               std::to_string(driver.stats().faults) + " warm faults"});
+  tbl.add_row({"resident warm-up",
+               std::to_string(driver.stats().faults) + " warm faults",
+               std::to_string(driver.stats().evictions) + " evictions"});
 }
 
 /// Cell B (fig8): baseline vs DFP-stop on one regular (lbm) and one
 /// irregular (deepsjeng) workload at pinned scale/seed. Cycle domain:
-/// total cycles, faults, preload accounting. Wall domain: simulation
-/// throughput (accesses simulated per second), median of kReps.
+/// total cycles, faults, preload accounting.
 void cell_fig8(TextTable& tbl) {
   for (const char* name : {"lbm", "deepsjeng"}) {
     const auto* w = trace::find_workload(name);
@@ -128,20 +92,9 @@ void cell_fig8(TextTable& tbl) {
                       static_cast<double>(stop.driver.faults));
     bench::add_scalar(p + ".dfpstop_preloads_used",
                       static_cast<double>(stop.driver.preloads_used));
-    std::vector<double> rates;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto m = core::simulate(t, cell_platform(core::Scheme::kDfpStop));
-      const double secs = seconds_since(t0);
-      g_sink = m.total_cycles;
-      rates.push_back(static_cast<double>(t.size()) / secs);
-    }
-    bench::add_scalar(std::string("wall.fig8.") + name +
-                          ".sim_accesses_per_sec",
-                      median(rates));
     tbl.add_row({std::string("fig8 ") + name,
-                 TextTable::fmt(median(rates) / 1e6, 2) + " M/s",
-                 std::to_string(stop.total_cycles) + " cycles (dfp-stop)"});
+                 std::to_string(stop.total_cycles) + " cycles (dfp-stop)",
+                 std::to_string(base.total_cycles) + " cycles (baseline)"});
   }
 }
 
@@ -308,143 +261,6 @@ void cell_soak(TextTable& tbl) {
                    " finished"});
 }
 
-/// Cell G: sharded fleet execution — 64 independent tenant lanes under the
-/// full driver fault plan, coupled through the barrier contention
-/// controller and the shared elastic pool. The cycle domain comes from one
-/// K=1 run (every K is bit-identical by the sharding invariance contract,
-/// so gating K=1 gates them all); wall.shard.k{1,2,4,8} reports the
-/// wall-clock scaling of the same fleet across worker counts.
-void cell_shard(TextTable& tbl) {
-  constexpr std::size_t kLanes = 64;
-  static std::vector<trace::Trace> traces;  // outlives the runs
-  traces.clear();
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    trace::Trace t("shard-cell-" + std::to_string(i), 512);
-    Rng rng(700 + i);
-    const trace::GapModel gap{.mean = 2'000, .jitter_pct = 0.25};
-    trace::seq_scan(t, rng, trace::Region{0, 512}, 1, gap);
-    trace::random_access(t, rng, trace::Region{256, 200}, 3'500, 10, 4, gap);
-    traces.push_back(std::move(t));
-  }
-  core::SimConfig cfg;
-  cfg.enclave.epc_pages = 96;
-  cfg.validate = true;
-  cfg.chaos = inject::ChaosPlan::all(0x5eed);
-  constexpr core::Scheme kMix[] = {core::Scheme::kBaseline,
-                                   core::Scheme::kDfpStop, core::Scheme::kDfp};
-  std::vector<core::ShardLane> lanes;
-  lanes.reserve(kLanes);
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    lanes.push_back(core::ShardLane{&traces[i], kMix[i % 3], nullptr});
-  }
-  core::ShardingSpec spec;
-  // Lane virtual time is fault-stall dominated (hundreds of millions of
-  // cycles over a few thousand accesses), so the epoch must be wide enough
-  // that each lane does real work between barriers.
-  spec.epoch_cycles = 25'000'000;
-  spec.contention_gain_milli = 400;
-  spec.pool_pages = 24 * kLanes;  // floor 16 + pressure-weighted spare
-  spec.quota_floor = 16;
-
-  const auto run_fleet = [&](std::size_t k) {
-    core::ShardingSpec s = spec;
-    s.threads = k;
-    core::ShardedFleetRun run(cfg, lanes, s);
-    auto out = run.run_to_end();
-    return std::make_pair(std::move(out), run.epochs_run());
-  };
-
-  // Cycle domain (gated): the sequential reference.
-  const auto [metrics, epochs] = run_fleet(1);
-  std::uint64_t cycles_sum = 0, faults_sum = 0, fired_sum = 0;
-  Cycles makespan = 0;
-  for (const core::Metrics& m : metrics) {
-    cycles_sum += m.total_cycles;
-    faults_sum += m.enclave_faults;
-    fired_sum += m.inject.total_fired();
-    makespan = std::max<Cycles>(makespan, m.total_cycles);
-  }
-  bench::add_scalar("cycles.shard.epochs", static_cast<double>(epochs));
-  bench::add_scalar("cycles.shard.makespan", static_cast<double>(makespan));
-  bench::add_scalar("cycles.shard.total_cycles_sum",
-                    static_cast<double>(cycles_sum));
-  bench::add_scalar("cycles.shard.faults_sum",
-                    static_cast<double>(faults_sum));
-  bench::add_scalar("cycles.shard.chaos_fired_sum",
-                    static_cast<double>(fired_sum));
-
-  // Wall domain (reported only): the same fleet across worker counts.
-  double k1_secs = 0.0;
-  double k4_speedup = 0.0;
-  for (const std::size_t k : {1u, 2u, 4u, 8u}) {
-    std::vector<double> secs;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto out = run_fleet(k);
-      g_sink = out.second;
-      secs.push_back(seconds_since(t0));
-    }
-    const double med = median(secs);
-    bench::add_scalar("wall.shard.k" + std::to_string(k) + "_secs", med);
-    if (k == 1) {
-      k1_secs = med;
-    } else if (k == 4) {
-      k4_speedup = k1_secs / med;
-    }
-  }
-  tbl.add_row({"sharded fleet (64 lanes)",
-               TextTable::fmt(k4_speedup, 2) + "x @ K=4",
-               std::to_string(makespan) + " cycles makespan, " +
-                   std::to_string(epochs) + " epochs"});
-}
-
-/// Cell D: hot-loop building blocks, wall-clock only (their cycle-domain
-/// behaviour is covered by the cells above).
-void cell_micro_ops(TextTable& tbl) {
-  {
-    std::vector<double> rates;
-    for (int rep = 0; rep < kReps; ++rep) {
-      dfp::StreamPredictor sp(dfp::StreamPredictorParams{});
-      constexpr std::uint64_t kOps = 2'000'000;
-      PageNum page = 0;
-      const auto t0 = std::chrono::steady_clock::now();
-      std::uint64_t acc = 0;
-      for (std::uint64_t i = 0; i < kOps; ++i) {
-        acc += sp.on_fault(ProcessId{0}, page++).size();
-      }
-      const double secs = seconds_since(t0);
-      g_sink = acc;
-      rates.push_back(static_cast<double>(kOps) / secs);
-    }
-    bench::add_scalar("wall.micro.predictor_updates_per_sec", median(rates));
-    tbl.add_row({"predictor update",
-                 TextTable::fmt(median(rates) / 1e6, 2) + " M/s", ""});
-  }
-  {
-    constexpr std::uint64_t kBits = 1u << 18;
-    sgxsim::PresenceBitmap bm(kBits);
-    for (PageNum p = 0; p < kBits; p += 3) {
-      bm.set(p);
-    }
-    std::vector<double> rates;
-    for (int rep = 0; rep < kReps; ++rep) {
-      Rng rng(2);
-      constexpr std::uint64_t kOps = 8'000'000;
-      const auto t0 = std::chrono::steady_clock::now();
-      std::uint64_t acc = 0;
-      for (std::uint64_t i = 0; i < kOps; ++i) {
-        acc += bm.test(rng.bounded(kBits)) ? 1u : 0u;
-      }
-      const double secs = seconds_since(t0);
-      g_sink = acc;
-      rates.push_back(static_cast<double>(kOps) / secs);
-    }
-    bench::add_scalar("wall.micro.bitmap_checks_per_sec", median(rates));
-    tbl.add_row({"bitmap check",
-                 TextTable::fmt(median(rates) / 1e6, 2) + " M/s", ""});
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -452,19 +268,16 @@ int main(int argc, char** argv) {
               "Perf trajectory cells (pinned scale/seed; cycles.* gated by "
               "scripts/bench_gate.py)");
   bench::add_note("perf_schema", "sgxpl-perf-cells/v1");
-  bench::add_note(
-      "domains",
-      "cycles.* scalars are deterministic and gated; wall.* scalars are "
-      "machine-dependent and reported only");
+  bench::add_note("domains",
+                  "cycles.* scalars only: deterministic and gated; wall "
+                  "time is measured by perfbench");
 
-  TextTable tbl({"cell", "rate", "detail"});
-  cell_resident_fast_path(tbl);
+  TextTable tbl({"cell", "result", "detail"});
+  cell_warmup(tbl);
   cell_fig8(tbl);
   cell_overload(tbl);
   cell_elastic(tbl);
   cell_soak(tbl);
-  cell_shard(tbl);
-  cell_micro_ops(tbl);
   bench::print_table("cells", tbl);
 
   std::cout << "\nCommit the --json output as BENCH_<pr>.json at the repo "

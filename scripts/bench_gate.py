@@ -2,14 +2,12 @@
 """Perf-trajectory regression gate for perf_suite results.
 
 The suite (bench/perf_suite.cpp) emits a sgxpl-bench-result/v1 document
-whose "scalars" block carries two metric domains:
-
-  cycles.*  deterministic simulated-cycle metrics — the gated surface.
-            Any relative change beyond --tolerance (default 2%), in either
-            direction, fails the gate: an unexplained cycle-domain shift
-            means simulation behaviour changed, not that a machine was slow.
-  wall.*    host wall-clock throughput — machine-dependent; deltas are
-            printed for trend-watching but never gated.
+whose "scalars" block carries cycles.* metrics: deterministic
+simulated-cycle values, the gated surface. Any relative change beyond
+--tolerance (default 2%), in either direction, fails the gate: an
+unexplained cycle-domain shift means simulation behaviour changed, not
+that a machine was slow. Other scalars are ignored; wall-clock numbers
+come from perfbench (perfbench/README.md).
 
 Usage:
   bench_gate.py compare FRESH.json [BASELINE.json]
@@ -52,10 +50,6 @@ def cycles_keys(scalars):
     return {k: v for k, v in scalars.items() if k.startswith("cycles.")}
 
 
-def wall_keys(scalars):
-    return {k: v for k, v in scalars.items() if k.startswith("wall.")}
-
-
 def rel_delta(old, new):
     if old == 0:
         return 0.0 if new == 0 else float("inf")
@@ -90,12 +84,6 @@ def cmd_compare(args):
     for key in sorted(set(fresh_cycles) - set(base_cycles)):
         print(f"  [ new] {key}: {fresh_cycles[key]:.0f} (ungated until "
               "committed)")
-
-    base_wall, fresh_wall = wall_keys(base), wall_keys(fresh)
-    for key in sorted(set(base_wall) & set(fresh_wall)):
-        d = rel_delta(base_wall[key], fresh_wall[key])
-        print(f"  [info] {key}: {base_wall[key]:.3g} -> "
-              f"{fresh_wall[key]:.3g} ({d:+.2%}, not gated)")
 
     if failures:
         print(f"bench_gate: FAIL ({len(failures)} regression(s)):")

@@ -239,15 +239,6 @@ Metrics SimulationRun::run_to_end() {
   return finish();
 }
 
-std::uint64_t SimulationRun::run_until(Cycles bound) {
-  std::uint64_t steps = 0;
-  while (!done() && now_ < bound) {
-    step();
-    ++steps;
-  }
-  return steps;
-}
-
 snapshot::RunMeta SimulationRun::meta() const {
   snapshot::RunMeta meta;
   meta.kind = "enclave-sim";

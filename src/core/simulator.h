@@ -56,18 +56,12 @@ class SimulationRun {
   /// Consume the next trace access — the unit of progress checkpoints are
   /// aligned to. Requires !done().
   void step();
-  /// step() while !done() and the virtual clock is below `bound`; returns
-  /// the number of accesses consumed. The unit of a sharded epoch: lanes
-  /// advance independently to a common virtual-time horizon, then meet at
-  /// the barrier. A lane whose clock already passed `bound` consumes zero.
-  std::uint64_t run_until(Cycles bound);
   /// Accesses completed so far.
   std::uint64_t cursor() const noexcept { return cursor_; }
   Cycles now() const noexcept { return now_; }
 
-  /// The underlying driver, for the sharded barrier's cross-lane coupling
-  /// (capacity limits, channel-slowdown factors, busy-cycle metering).
-  sgxsim::Driver& driver() noexcept { return *driver_; }
+  /// The underlying driver, read-only: harnesses sample its counters and
+  /// run its invariant sweep between steps.
   const sgxsim::Driver& driver() const noexcept { return *driver_; }
 
   /// Drain/validate and assemble the final Metrics. Requires done(); call

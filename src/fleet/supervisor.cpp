@@ -282,8 +282,7 @@ FleetSupervisor::FleetSupervisor(const SupervisorPolicy& policy,
       chaos_(chaos, 0),
       backoff_rng_(policy.seed),
       pool_(std::make_unique<core::ShardPool>(
-          static_cast<std::size_t>(std::max<std::uint64_t>(
-              policy.shard_threads, 1)))) {}
+          static_cast<std::size_t>(policy.shard_threads))) {}
 
 FleetSupervisor::~FleetSupervisor() = default;
 

@@ -536,17 +536,12 @@ Cycles Driver::drain() {
 }
 
 PageNum Driver::effective_capacity(Cycles now) const {
-  PageNum real = epc_.capacity();
-  if (capacity_limit_ > 0 && capacity_limit_ < real) {
-    real = capacity_limit_;
-  }
+  const PageNum real = epc_.capacity();
   if (chaos_ == nullptr) {
     return std::max<PageNum>(real, 1);
   }
-  // Chaos squeezes see the physical capacity (their contract predates the
-  // elastic-pool limit); the tighter of the two caps wins.
-  const PageNum cap = chaos_->effective_epc_capacity(epc_.capacity(), now);
-  return std::clamp<PageNum>(std::min(cap, real), 1, epc_.capacity());
+  const PageNum cap = chaos_->effective_epc_capacity(real, now);
+  return std::clamp<PageNum>(cap, 1, real);
 }
 
 Cycles Driver::load_duration(OpKind kind, Cycles at) {
@@ -554,12 +549,9 @@ Cycles Driver::load_duration(OpKind kind, Cycles at) {
   // load that will consume a slot before this one runs.
   const bool needs_evict = page_table_.resident_count() + channel_.queued() >=
                            effective_capacity(at);
-  Cycles base =
+  const Cycles base =
       costs_.epc_load + (needs_evict ? costs_.epc_evict : 0) +
       (kind == OpKind::kDfpPreload ? costs_.preload_dispatch : 0);
-  if (channel_slowdown_milli_ != 1000) {
-    base = std::max<Cycles>(1, base * channel_slowdown_milli_ / 1000);
-  }
   if (chaos_ == nullptr) {
     return base;
   }

@@ -250,33 +250,6 @@ class Driver {
   bool elastic_engaged() const noexcept { return elastic_engaged_; }
   const ElasticEpcController& elastic() const noexcept { return elastic_; }
 
-  /// External capacity cap for the sharded-fleet elastic pool: the driver's
-  /// usable EPC is min(capacity, limit) while a nonzero limit is set
-  /// (0 = uncapped, the default). Enforced lazily by the same squeeze-
-  /// eviction loop a chaos EPC squeeze uses, so a shrink costs nothing
-  /// until the next load commits. Control-plane state: deliberately not
-  /// serialized — the sharded barrier re-applies it after restore, exactly
-  /// like the drain flags.
-  void set_capacity_limit(PageNum limit) noexcept { capacity_limit_ = limit; }
-  PageNum capacity_limit() const noexcept { return capacity_limit_; }
-
-  /// External channel-contention factor in milli-units (1000 = neutral):
-  /// every load's base duration is scaled by limit/1000 before chaos
-  /// perturbation. The sharded barrier uses this to charge lanes for
-  /// cross-shard paging-channel contention. Not serialized (re-applied at
-  /// barriers and after restore).
-  void set_channel_slowdown_milli(std::uint32_t milli) noexcept {
-    channel_slowdown_milli_ = milli == 0 ? 1 : milli;
-  }
-  std::uint32_t channel_slowdown_milli() const noexcept {
-    return channel_slowdown_milli_;
-  }
-
-  /// Total cycles of committed channel occupancy so far (the same counter
-  /// that feeds the windowed-utilization series). The sharded barrier
-  /// differences this across an epoch to meter per-lane channel pressure.
-  Cycles channel_busy_cycles() const noexcept { return channel_busy_total_; }
-
   /// Attach a chaos fault injector (not owned; nullptr detaches). Hooks
   /// perturb channel timing, bitmap reads, completion notifications, scan
   /// scheduling, and effective EPC capacity — never the driver's
@@ -443,11 +416,6 @@ class Driver {
   /// A chaos hook fired since the last watchdog sweep (injection-boundary
   /// sweeps run at the next bookkeeping point, not mid-operation).
   bool chaos_dirty_ = false;
-  /// Sharded-fleet control knobs (see set_capacity_limit /
-  /// set_channel_slowdown_milli). Transient operational state, like the
-  /// drain flags: never serialized.
-  PageNum capacity_limit_ = 0;
-  std::uint32_t channel_slowdown_milli_ = 1000;
 
   // --- overload hardening (inert in the default configuration) ---
   /// A preload whose completion was dropped: the load's effects never

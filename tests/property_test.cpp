@@ -11,9 +11,12 @@
 
 #include "common/rng.h"
 #include "core/experiment.h"
-#include "core/sharding.h"
+#include "core/multi_enclave.h"
 #include "core/simulator.h"
+#include "fleet/supervisor.h"
 #include "inject/chaos_plan.h"
+#include "inject/fleet_chaos.h"
+#include "obs/event_log.h"
 #include "snapshot/codec.h"
 #include "trace/workloads.h"
 
@@ -355,23 +358,17 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
-// --- Shard-count invariance over randomized fleets ---------------------------
+// --- Shard-count invariance over randomized supervised fleets ----------------
 // The sharded-execution analogue of ChaosSweep: each iteration draws a
-// random tenant mix (lane count, traces, schemes), a random coupling
-// configuration, a random chaos toggle, and a random worker count K > 1,
-// then demands the whole fleet finish bit-identically to the sequential
-// K=1 run — per-lane metrics compared as serialized snapshot fields, so a
-// divergence anywhere in the driver/DFP/injection state fails.
+// random fleet (1-3 hosts of 2-3 tenants, traces, schemes), a random driver
+// chaos toggle, a random host-crash toggle, and a random worker count K > 1,
+// then demands the supervisor finish bit-identically to the sequential K=1
+// run — incident report, manifest and event stream compared as bytes, so
+// a divergence anywhere in host stepping, checkpointing, crash recovery or
+// evacuation fails.
 
-std::vector<std::uint8_t> serialized(const Metrics& m) {
-  snapshot::Writer w;
-  w.begin_section("METR");
-  m.save(w);
-  w.end_section();
-  return w.finish();
-}
-
-class ShardCountInvariance : public ::testing::TestWithParam<std::uint64_t> {
+class SupervisorShardCountInvariance
+    : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   /// Workload traces are iteration-independent; build each once.
   static const trace::Trace& workload(std::size_t which) {
@@ -384,54 +381,72 @@ class ShardCountInvariance : public ::testing::TestWithParam<std::uint64_t> {
   }
 };
 
-TEST_P(ShardCountInvariance, RandomFleetMatchesSequentialBitForBit) {
+TEST_P(SupervisorShardCountInvariance, RandomFleetMatchesSequentialBitForBit) {
   Rng draw(GetParam() * 0x9e3779b97f4a7c15ull + 17);
-  const std::size_t lane_count = 2 + draw.bounded(4);  // 2..5 tenants
-  std::vector<ShardLane> lanes;
+  const std::size_t host_count = 1 + draw.bounded(3);
   constexpr Scheme kSchemes[] = {Scheme::kBaseline, Scheme::kDfp,
                                  Scheme::kDfpStop};
-  for (std::size_t i = 0; i < lane_count; ++i) {
-    lanes.push_back(ShardLane{&workload(draw.bounded(3)),
-                              kSchemes[draw.bounded(3)], nullptr});
-  }
-
-  SimConfig base = tiny_platform(Scheme::kBaseline);
-  if (draw.chance(0.5)) {
-    base.chaos = inject::ChaosPlan::all(draw.bounded(1 << 20));
-  }
-
-  ShardingSpec spec;
-  spec.epoch_cycles = draw.chance(0.5) ? 120'000 : 400'000;
-  spec.contention_gain_milli =
-      draw.chance(0.5) ? 0 : 300 + static_cast<std::uint32_t>(
-                                       draw.bounded(1200));
-  if (draw.chance(0.5)) {
-    spec.pool_pages = static_cast<PageNum>(lane_count) * 20;
-    spec.quota_floor = 8;
-  }
-  constexpr std::size_t kWorkerDraws[] = {2, 3, 4, 8};
-  const std::size_t k = kWorkerDraws[draw.bounded(4)];
-
-  const auto run_at = [&](std::size_t threads) {
-    ShardingSpec s = spec;
-    s.threads = threads;
-    ShardedFleetRun run(base, lanes, s);
-    std::vector<std::vector<std::uint8_t>> out;
-    for (const Metrics& m : run.run_to_end()) {
-      out.push_back(serialized(m));
+  std::vector<std::vector<EnclaveApp>> hosts(host_count);
+  for (auto& apps : hosts) {
+    const std::size_t tenants = 2 + draw.bounded(2);
+    for (std::size_t t = 0; t < tenants; ++t) {
+      apps.push_back({.trace = &workload(draw.bounded(3)),
+                      .scheme = kSchemes[draw.bounded(3)]});
     }
-    return std::make_pair(std::move(out), run.epochs_run());
-  };
-  const auto [ref, ref_epochs] = run_at(1);
-  const auto [got, got_epochs] = run_at(k);
-  EXPECT_EQ(got_epochs, ref_epochs) << "K=" << k;
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(got[i], ref[i]) << "lane " << i << " K=" << k;
   }
+  SimConfig host_cfg = tiny_platform(Scheme::kBaseline);
+  if (draw.chance(0.5)) {
+    host_cfg.chaos = inject::ChaosPlan::all(draw.bounded(1 << 20));
+  }
+  inject::HostCrashPlan crashes;
+  if (draw.chance(0.5)) {
+    crashes.enabled = true;
+    crashes.crash_per_epoch = 0.05;
+    crashes.torn_frac = 0.5;
+    crashes.seed = draw.bounded(1 << 20);
+  }
+  constexpr std::uint64_t kWorkerDraws[] = {2, 3, 4, 8};
+  const std::uint64_t k = kWorkerDraws[draw.bounded(4)];
+
+  struct Outcome {
+    fleet::FleetReport report;
+    std::vector<std::uint8_t> manifest;
+    std::string events;
+  };
+  const auto run_at = [&](std::uint64_t threads) {
+    fleet::SupervisorPolicy policy;
+    policy.shard_threads = threads;
+    obs::EventLog log;
+    fleet::FleetSupervisor sup(policy, crashes);
+    sup.set_event_log(&log);
+    for (const auto& apps : hosts) {
+      sup.add_host(host_cfg, apps);
+    }
+    Outcome out;
+    out.report = sup.run_to_completion(5'000);
+    out.manifest = sup.save_manifest();
+    out.events = log.render();
+    return out;
+  };
+  const Outcome ref = run_at(1);
+  const Outcome got = run_at(k);
+  SCOPED_TRACE("K=" + std::to_string(k));
+  EXPECT_TRUE(ref.report.ledger.balanced());
+  EXPECT_EQ(ref.report.ledger.running, 0u) << "fleet did not drain";
+  EXPECT_EQ(got.report.epochs, ref.report.epochs);
+  EXPECT_EQ(got.report.makespan, ref.report.makespan);
+  EXPECT_EQ(got.report.ledger.crashes, ref.report.ledger.crashes);
+  EXPECT_EQ(got.report.ledger.checkpoints, ref.report.ledger.checkpoints);
+  EXPECT_EQ(got.report.ledger.evacuations_completed,
+            ref.report.ledger.evacuations_completed);
+  EXPECT_EQ(got.report.ledger.quarantined, ref.report.ledger.quarantined);
+  EXPECT_EQ(got.report.crash_incidents.size(),
+            ref.report.crash_incidents.size());
+  EXPECT_TRUE(got.manifest == ref.manifest);
+  EXPECT_EQ(got.events, ref.events);
 }
 
-INSTANTIATE_TEST_SUITE_P(Iterations, ShardCountInvariance,
+INSTANTIATE_TEST_SUITE_P(Iterations, SupervisorShardCountInvariance,
                          ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
