@@ -1,9 +1,9 @@
 #include "bench_common.h"
 
-#include <charconv>
 #include <cstdlib>
 #include <iostream>
 
+#include "common/parse.h"
 #include "core/sharding.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
@@ -47,23 +47,6 @@ HarnessState& state() {
 }
 
 }  // namespace
-
-std::optional<std::uint64_t> parse_unsigned(std::string_view text,
-                                            std::uint64_t lo,
-                                            std::uint64_t hi) {
-  int base = 10;
-  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
-    text.remove_prefix(2);
-    base = 16;
-  }
-  std::uint64_t v = 0;
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), last, v, base);
-  if (ec != std::errc{} || ptr != last || v < lo || v > hi) {
-    return std::nullopt;
-  }
-  return v;
-}
 
 double bench_scale() {
   if (const char* env = std::getenv("SGXPL_SCALE")) {

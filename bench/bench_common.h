@@ -51,7 +51,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/table.h"
@@ -117,13 +116,6 @@ const std::string& fail_dir();
 /// across them; results are bit-identical for every value (the
 /// supervisor's shard-count invariance, docs/ROBUSTNESS.md).
 std::uint64_t shards();
-
-/// The strict parse behind every numeric flag: the whole of `text` must be
-/// an unsigned integer, decimal or 0x-prefixed hex, with no sign, space or
-/// suffix, that fits 64 bits and lies in [lo, hi]. nullopt otherwise.
-std::optional<std::uint64_t> parse_unsigned(std::string_view text,
-                                            std::uint64_t lo,
-                                            std::uint64_t hi);
 
 /// Flush --json/--trace outputs. Benches end with `return bench::finish();`.
 int finish();

@@ -45,10 +45,12 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "snapshot/chain.h"
 #include "snapshot/codec.h"
 #include "snapshot/snapshotter.h"
@@ -70,20 +72,12 @@ int usage() {
   return 2;
 }
 
-/// Strict decimal parse with a typed failure (std::stoull would abort the
-/// command with an unhelpful std::invalid_argument).
+/// The strict unsigned parse with a typed failure naming the argument.
 std::uint64_t parse_u64(const std::string& what, const std::string& text) {
-  SGXPL_CHECK_MSG(!text.empty(), what << " is empty, want an integer");
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    SGXPL_CHECK_MSG(c >= '0' && c <= '9',
-                    what << " '" << text << "' is not a decimal integer");
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    SGXPL_CHECK_MSG(v <= (~0ull - digit) / 10,
-                    what << " '" << text << "' overflows 64 bits");
-    v = v * 10 + digit;
-  }
-  return v;
+  const std::optional<std::uint64_t> v = parse_unsigned(text);
+  SGXPL_CHECK_MSG(v.has_value(), what << " '" << text
+                                      << "' is not an unsigned 64-bit integer");
+  return *v;
 }
 
 int cmd_info(const std::string& path) {

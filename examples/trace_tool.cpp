@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 
+#include "common/parse.h"
 #include "common/table.h"
 #include "core/simulator.h"
 #include "obs/event_log.h"
@@ -52,7 +53,14 @@ int cmd_gen(int argc, char** argv) {
   }
   trace::WorkloadParams params;
   params.scale = argc > 4 ? std::atof(argv[4]) : 0.5;
-  params.seed = argc > 5 ? static_cast<std::uint64_t>(std::atoll(argv[5])) : 42;
+  if (argc > 5) {
+    const auto seed = parse_unsigned(argv[5]);
+    if (!seed.has_value()) {
+      std::cerr << "bad seed '" << argv[5] << "' (want an unsigned integer)\n";
+      return 1;
+    }
+    params.seed = *seed;
+  }
   const auto t = w->make(params);
   trace::save_trace(argv[3], t);
   std::cout << "wrote " << t.size() << " accesses ("
@@ -105,8 +113,14 @@ int cmd_replay(int argc, char** argv) {
   }
   auto cfg = core::paper_platform(scheme);
   if (argc > 4) {
-    cfg.enclave.epc_pages =
-        bytes_to_pages(static_cast<std::uint64_t>(std::atoll(argv[4])) << 20);
+    // Bounded so the MiB-to-bytes shift cannot overflow.
+    const auto mib = parse_unsigned(argv[4], 1, ~std::uint64_t{0} >> 20);
+    if (!mib.has_value()) {
+      std::cerr << "bad EPC size '" << argv[4]
+                << "' (want a positive MiB count)\n";
+      return 1;
+    }
+    cfg.enclave.epc_pages = bytes_to_pages(*mib << 20);
   }
 
   auto base_cfg = cfg;

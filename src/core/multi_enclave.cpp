@@ -1,18 +1,14 @@
 #include "core/multi_enclave.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 #include "common/check.h"
 #include "core/per_enclave_policy.h"
 #include "dfp/dfp_engine.h"
 #include "inject/fault_injector.h"
-#include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/time_series.h"
 #include "sgxsim/driver.h"
-#include "snapshot/chain.h"
 #include "snapshot/codec.h"
 
 namespace sgxpl::core {
@@ -39,11 +35,10 @@ struct MultiEnclaveRun::Impl {
 
     // Lay the enclaves out at disjoint offsets in the combined space.
     offset.resize(apps.size());
-    PageNum total_pages = 0;
     for (std::size_t i = 0; i < apps.size(); ++i) {
       SGXPL_CHECK(apps[i].trace != nullptr && !apps[i].trace->empty());
-      offset[i] = total_pages;
-      total_pages += apps[i].trace->elrange_pages();
+      offset[i] = combined_pages;
+      combined_pages += apps[i].trace->elrange_pages();
     }
 
     // Per-enclave scheme state.
@@ -54,13 +49,7 @@ struct MultiEnclaveRun::Impl {
       PerEnclavePolicy::Slot slot;
       slot.lo = offset[i];
       slot.hi = offset[i] + apps[i].trace->elrange_pages();
-      if (uses_dfp(scheme)) {
-        dfp::DfpParams params = cfg.dfp;
-        if (dfp_stop_forced(scheme)) {
-          params.stop_enabled = true;
-        }
-        slot.engine = std::make_unique<dfp::DfpEngine>(params);
-      }
+      slot.engine = make_dfp_engine(scheme, cfg.dfp);
       if (uses_sip(scheme)) {
         SGXPL_CHECK_MSG(apps[i].plan != nullptr,
                         "SIP scheme needs a plan (enclave " << i << ")");
@@ -68,59 +57,6 @@ struct MultiEnclaveRun::Impl {
       slots.push_back(std::move(slot));
     }
     policy = std::make_unique<PerEnclavePolicy>(std::move(slots));
-
-    sgxsim::EnclaveConfig ecfg = cfg.enclave;
-    ecfg.elrange_pages = total_pages;
-    combined_pages = total_pages;
-    // Chaos attach, same contract as SimulationRun: under an active plan the
-    // online watchdog defaults on so a corrupting hook trips immediately.
-    if (cfg.chaos.any_enabled()) {
-      injector = std::make_unique<inject::FaultInjector>(cfg.chaos);
-      if (ecfg.watchdog_scan_interval == 0) {
-        ecfg.watchdog_scan_interval = 64;
-      }
-    }
-    driver = std::make_unique<sgxsim::Driver>(ecfg, cfg.costs, policy.get());
-    if (injector != nullptr) {
-      driver->set_chaos(injector.get());
-    }
-    // Elastic EPC engages only here: the controller needs the tenant layout,
-    // which single-enclave runs do not have. Engagement is deterministic
-    // from config + apps, so both sides of a save/load agree on whether the
-    // DRVR section carries elastic fields.
-    if (cfg.enclave.elastic.enabled) {
-      std::vector<std::pair<PageNum, PageNum>> geometry;
-      geometry.reserve(apps.size());
-      for (std::size_t i = 0; i < apps.size(); ++i) {
-        geometry.emplace_back(offset[i], apps[i].trace->elrange_pages());
-      }
-      driver->set_elastic_geometry(geometry);
-    }
-    // Observability attach. Only the shared driver gets live sinks: the
-    // per-enclave DFP engines would all write the same "dfp.depth" gauge,
-    // so their counters are published (additively) at finish() instead.
-    if (cfg.event_log != nullptr) {
-      cfg.event_log->clear();
-      driver->set_event_log(cfg.event_log);
-      if (injector != nullptr) {
-        injector->set_event_log(cfg.event_log);
-      }
-    }
-    if (cfg.registry != nullptr) {
-      driver->set_metrics(cfg.registry);
-    }
-    if (cfg.timeseries != nullptr) {
-      cfg.timeseries->clear();
-      driver->set_time_series(cfg.timeseries);
-    }
-    if (cfg.profiler != nullptr) {
-      driver->set_profiler(cfg.profiler);
-      for (std::size_t i = 0; i < apps.size(); ++i) {
-        if (auto* eng = policy->mutable_engine(i)) {
-          eng->set_profiler(cfg.profiler);
-        }
-      }
-    }
     state.resize(apps.size());
   }
 
@@ -208,15 +144,40 @@ struct MultiEnclaveRun::Impl {
   std::vector<PageNum> offset;
   PageNum combined_pages = 0;
   std::unique_ptr<PerEnclavePolicy> policy;
-  std::unique_ptr<inject::FaultInjector> injector;
-  std::unique_ptr<sgxsim::Driver> driver;
   std::vector<AppState> state;
-  bool finished = false;
 };
 
 MultiEnclaveRun::MultiEnclaveRun(const SimConfig& config,
                                  const std::vector<EnclaveApp>& apps)
-    : impl_(std::make_unique<Impl>(config, apps)) {}
+    : impl_(std::make_unique<Impl>(config, apps)) {
+  const Impl& im = *impl_;
+  sgxsim::EnclaveConfig ecfg = im.cfg.enclave;
+  ecfg.elrange_pages = im.combined_pages;
+  build_driver(im.cfg, ecfg, im.policy.get());
+  // Elastic EPC engages only here: the controller needs the tenant layout,
+  // which single-enclave runs do not have. Engagement is deterministic
+  // from config + apps, so both sides of a save/load agree on whether the
+  // DRVR section carries elastic fields.
+  if (im.cfg.enclave.elastic.enabled) {
+    std::vector<std::pair<PageNum, PageNum>> geometry;
+    geometry.reserve(apps.size());
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      geometry.emplace_back(im.offset[i], apps[i].trace->elrange_pages());
+    }
+    driver_->set_elastic_geometry(geometry);
+  }
+  // Only the shared driver gets live sinks: the per-enclave DFP engines
+  // would all write the same "dfp.depth" gauge, so their counters are
+  // published (additively) at finish() instead.
+  attach_sinks(im.cfg);
+  if (im.cfg.profiler != nullptr) {
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      if (auto* eng = im.policy->mutable_engine(i)) {
+        eng->set_profiler(im.cfg.profiler);
+      }
+    }
+  }
+}
 
 MultiEnclaveRun::~MultiEnclaveRun() = default;
 
@@ -264,15 +225,15 @@ void MultiEnclaveRun::step() {
     st.now += im.cfg.costs.bitmap_check;
     st.metrics.sip_check_cycles += im.cfg.costs.bitmap_check;
     ++st.metrics.sip_checks;
-    if (!im.driver->bitmap().test(page)) {
-      const Cycles loaded = im.driver->sip_load(page, st.now);
+    if (!driver_->bitmap().test(page)) {
+      const Cycles loaded = driver_->sip_load(page, st.now);
       st.now = loaded + im.cfg.costs.sip_notification;
       st.metrics.sip_notification_cycles += im.cfg.costs.sip_notification;
       ++st.metrics.sip_requests;
     }
   }
 
-  const auto outcome = im.driver->access(
+  const auto outcome = driver_->access(
       page, st.now, ProcessId{static_cast<std::uint32_t>(next)});
   st.now = outcome.completion;
   if (outcome.faulted) {
@@ -289,15 +250,15 @@ void MultiEnclaveRun::step() {
 MultiEnclaveResult MultiEnclaveRun::finish() {
   Impl& im = *impl_;
   SGXPL_CHECK_MSG(done(), "finishing an unfinished multi-enclave run");
-  SGXPL_CHECK_MSG(!im.finished, "finish() called twice");
-  im.finished = true;
+  SGXPL_CHECK_MSG(!finished_, "finish() called twice");
+  finished_ = true;
 
   // A hardened run may still hold lost ops awaiting their retry deadlines;
   // settle them so shed/retry/permanent counters are final. The default
   // (non-hardened) path skips this and finishes exactly as before.
   if (im.cfg.enclave.channel.max_retries > 0) {
-    im.driver->drain();
-    im.driver->check_invariants();
+    driver_->drain();
+    driver_->check_invariants();
   }
 
   MultiEnclaveResult result;
@@ -306,25 +267,19 @@ MultiEnclaveResult MultiEnclaveRun::finish() {
   for (std::size_t i = 0; i < im.apps.size(); ++i) {
     Metrics m = im.state[i].metrics;
     if (const auto* engine = im.policy->engine(i)) {
-      m.dfp_stopped = engine->stopped();
-      m.dfp_stopped_at = engine->stopped_at();
-      m.dfp_preload_counter = engine->preloaded_pages().preload_counter();
-      m.dfp_acc_preload_counter =
-          engine->preloaded_pages().acc_preload_counter();
-      m.dfp_predictor_hits = engine->predictor().hits();
-      m.dfp_predictor_misses = engine->predictor().misses();
+      fill_dfp_counters(m, *engine);
     }
     result.makespan = std::max(result.makespan, m.total_cycles);
     result.per_enclave.push_back(std::move(m));
     result.degrade_levels.push_back(
-        im.driver->degrade_level(ProcessId{static_cast<std::uint32_t>(i)}));
+        driver_->degrade_level(ProcessId{static_cast<std::uint32_t>(i)}));
   }
-  result.driver = im.driver->stats();
-  if (im.injector != nullptr) {
-    result.inject = im.injector->stats();
+  result.driver = driver_->stats();
+  if (injector_ != nullptr) {
+    result.inject = injector_->stats();
   }
-  if (im.driver->elastic_engaged()) {
-    const auto& el = im.driver->elastic();
+  if (driver_->elastic_engaged()) {
+    const auto& el = driver_->elastic();
     result.elastic = el.stats();
     result.elastic_quotas.reserve(el.tenant_count());
     for (std::size_t t = 0; t < el.tenant_count(); ++t) {
@@ -334,15 +289,15 @@ MultiEnclaveResult MultiEnclaveRun::finish() {
   if (im.cfg.registry != nullptr) {
     auto& reg = *im.cfg.registry;
     result.driver.publish(reg);
-    if (im.driver->elastic_engaged()) {
-      im.driver->elastic().publish(reg);
+    if (driver_->elastic_engaged()) {
+      driver_->elastic().publish(reg);
     }
     for (std::size_t i = 0; i < im.apps.size(); ++i) {
       if (const auto* engine = im.policy->engine(i)) {
         engine->publish(reg);  // counters add across enclaves
       }
     }
-    if (im.injector != nullptr) {
+    if (injector_ != nullptr) {
       result.inject.publish(reg);
     }
   }
@@ -380,127 +335,13 @@ snapshot::RunMeta MultiEnclaveRun::meta() const {
   return meta;
 }
 
-void MultiEnclaveRun::save(snapshot::Writer& w) const {
-  save(w, snapshot::ChainHeader{});
+void MultiEnclaveRun::save_head(snapshot::Writer& w) const {
+  impl_->save_tenants(w);
 }
 
-void MultiEnclaveRun::save(snapshot::Writer& w,
-                           const snapshot::ChainHeader& chain) const {
-  const Impl& im = *impl_;
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
-                  "save() writes full frames; deltas go through save_delta()");
-  snapshot::write_chain_header(w, chain);
-  snapshot::write_meta(w, meta());
-  im.save_tenants(w);
-  im.driver->save_sections(w);
-  if (im.injector != nullptr) {
-    w.begin_section("INJC");
-    im.injector->save(w);
-    w.end_section();
-  }
+void MultiEnclaveRun::load_head(snapshot::Reader& r) {
+  impl_->load_tenants(r);
 }
-
-void MultiEnclaveRun::load(snapshot::Reader& r) {
-  Impl& im = *impl_;
-  const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
-                  "this frame is delta "
-                      << chain.seq
-                      << " of a checkpoint chain and cannot be restored on "
-                         "its own; restore the chain from its base frame");
-  const snapshot::RunMeta stored = snapshot::read_meta(r);
-  const std::string mismatch = stored.incompatibility(meta());
-  SGXPL_CHECK_MSG(mismatch.empty(),
-                  "snapshot does not match this run: " << mismatch);
-  im.load_tenants(r);
-  im.driver->load_sections(r);
-  if (im.injector != nullptr) {
-    r.enter_section("INJC");
-    im.injector->load(r);
-    r.leave_section();
-  }
-  SGXPL_CHECK_MSG(r.sections_entered() == r.section_count(),
-                  "snapshot holds " << r.section_count()
-                                    << " sections but this run consumes "
-                                    << r.sections_entered());
-  im.finished = false;
-}
-
-std::vector<std::uint8_t> MultiEnclaveRun::save_bytes() const {
-  snapshot::Writer w;
-  save(w);
-  return w.finish();
-}
-
-void MultiEnclaveRun::load_bytes(const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  load(r);
-}
-
-bool MultiEnclaveRun::restore_if_compatible(
-    const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader probe(bytes);
-  (void)snapshot::read_chain_header(probe);
-  const snapshot::RunMeta stored = snapshot::read_meta(probe);
-  if (!stored.incompatibility(meta()).empty()) {
-    return false;
-  }
-  load_bytes(bytes);
-  return true;
-}
-
-void MultiEnclaveRun::save_delta(snapshot::Writer& w,
-                                 const snapshot::ChainHeader& chain,
-                                 const snapshot::SectionGens& last) const {
-  const Impl& im = *impl_;
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kDelta,
-                  "save_delta() writes delta frames; full frames go through "
-                  "save()");
-  snapshot::write_chain_header(w, chain);
-  snapshot::write_meta(w, meta());
-  im.save_tenants(w);
-  im.driver->save_delta_sections(w, last);
-  if (im.injector != nullptr) {
-    w.begin_section("INJC");
-    im.injector->save(w);
-    w.end_section();
-  }
-}
-
-void MultiEnclaveRun::apply_delta_bytes(
-    const std::vector<std::uint8_t>& bytes) {
-  Impl& im = *impl_;
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kDelta,
-                  "apply_delta_bytes() on a full frame; restore it with "
-                  "load_bytes()");
-  const snapshot::RunMeta stored = snapshot::read_meta(r);
-  const std::string mismatch = stored.incompatibility(meta());
-  SGXPL_CHECK_MSG(mismatch.empty(),
-                  "delta frame does not match this run: " << mismatch);
-  im.load_tenants(r);
-  im.driver->apply_delta_sections(r);
-  if (im.injector != nullptr) {
-    r.enter_section("INJC");
-    im.injector->load(r);
-    r.leave_section();
-  }
-  SGXPL_CHECK_MSG(r.sections_entered() == r.section_count(),
-                  "delta frame holds " << r.section_count()
-                                       << " sections but this run consumes "
-                                       << r.sections_entered());
-  im.finished = false;
-}
-
-snapshot::SectionGens MultiEnclaveRun::section_gens() const {
-  return impl_->driver->section_gens();
-}
-
-void MultiEnclaveRun::clear_dirty() { impl_->driver->clear_dirty(); }
 
 std::size_t MultiEnclaveRun::enclave_count() const noexcept {
   return impl_->apps.size();
@@ -559,13 +400,13 @@ bool MultiEnclaveRun::steppable() const noexcept {
 void MultiEnclaveRun::begin_tenant_drain(std::size_t enclave) {
   SGXPL_CHECK_MSG(enclave < impl_->state.size(),
                   "no enclave " << enclave << " in this co-run");
-  impl_->driver->begin_drain(ProcessId{static_cast<std::uint32_t>(enclave)});
+  driver_->begin_drain(ProcessId{static_cast<std::uint32_t>(enclave)});
 }
 
 void MultiEnclaveRun::end_tenant_drain(std::size_t enclave) {
   SGXPL_CHECK_MSG(enclave < impl_->state.size(),
                   "no enclave " << enclave << " in this co-run");
-  impl_->driver->end_drain(ProcessId{static_cast<std::uint32_t>(enclave)});
+  driver_->end_drain(ProcessId{static_cast<std::uint32_t>(enclave)});
 }
 
 void MultiEnclaveRun::retire_tenant(std::size_t enclave) {
@@ -588,48 +429,7 @@ MultiEnclaveSimulator::MultiEnclaveSimulator(const SimConfig& config)
 MultiEnclaveResult MultiEnclaveSimulator::run(
     const std::vector<EnclaveApp>& apps) {
   MultiEnclaveRun run(config_, apps);
-  const CheckpointOptions& ck = config_.checkpoint;
-  // Same latency accounting as EnclaveSimulator::run: steady-clock
-  // nanoseconds (~cycles at 1 GHz) of real checkpoint I/O.
-  const auto ns_since = [](std::chrono::steady_clock::time_point t0) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  };
-  if (!ck.resume_path.empty()) {
-    // Meta-gated, same contract as EnclaveSimulator::run: a snapshot of a
-    // different configuration is skipped; corrupt snapshots or broken
-    // chains still throw. `.delta-N` files beside the base are replayed.
-    obs::ScopedSpan span(config_.profiler, obs::Phase::kSnapshotLoad);
-    const auto t0 = std::chrono::steady_clock::now();
-    if (snapshot::restore_chain_from_files(run, ck.resume_path) &&
-        config_.registry != nullptr) {
-      config_.registry->histogram("snapshot.load_cycles").record(ns_since(t0));
-    }
-  }
-  const bool checkpointing = ck.every_accesses > 0 && !ck.path.empty();
-  snapshot::Snapshotter<MultiEnclaveRun> snap(ck.full_every);
-  while (!run.done()) {
-    run.step();
-    if (checkpointing && run.steps() % ck.every_accesses == 0) {
-      obs::ScopedSpan span(config_.profiler, obs::Phase::kSnapshotSave);
-      const auto t0 = std::chrono::steady_clock::now();
-      const snapshot::ChainFrame frame = snap.checkpoint(run);
-      const bool full = frame.header.kind == snapshot::FrameKind::kFull;
-      snapshot::write_file_atomic(
-          full ? ck.path : snapshot::delta_path(ck.path, frame.header.seq),
-          frame.bytes);
-      if (full) snapshot::remove_stale_deltas(ck.path);
-      if (config_.registry != nullptr) {
-        config_.registry->histogram("snapshot.save_cycles")
-            .record(ns_since(t0));
-        config_.registry->histogram("snapshot.bytes_written")
-            .record(frame.bytes.size());
-      }
-    }
-  }
-  return run.finish();
+  return run_with_checkpoints(run, config_);
 }
 
 }  // namespace sgxpl::core

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/metrics.h"
+#include "core/run_lifecycle.h"
 #include "core/scheme.h"
 #include "sip/instrumenter.h"
 #include "snapshot/fwd.h"
@@ -55,14 +56,18 @@ struct MultiEnclaveResult {
 
 /// One in-progress co-simulation, steppable one access at a time so it can
 /// be checkpointed and resumed bit-identically (same contract as
-/// core::SimulationRun; see its header for the save/load semantics). The
+/// core::SimulationRun; see RunLifecycle for the save/load semantics). The
 /// traces and plans referenced by `apps` must outlive the run.
-class MultiEnclaveRun {
+///
+/// Frames lay multi-enclave state out per tenant before the driver's
+/// sections: an "ENCM" identity section, the tenant's "APPS" clock/metrics,
+/// and its "DFPE" engine (when the scheme runs one) are grouped per enclave
+/// so one tenant can be extracted and inspected standalone
+/// (snapshot::extract_enclave).
+class MultiEnclaveRun final : public RunLifecycle {
  public:
   MultiEnclaveRun(const SimConfig& config, const std::vector<EnclaveApp>& apps);
-  ~MultiEnclaveRun();
-  MultiEnclaveRun(const MultiEnclaveRun&) = delete;
-  MultiEnclaveRun& operator=(const MultiEnclaveRun&) = delete;
+  ~MultiEnclaveRun() override;
 
   bool done() const noexcept;
   /// Consume one access from the enclave whose virtual clock is furthest
@@ -75,25 +80,7 @@ class MultiEnclaveRun {
   MultiEnclaveResult finish();
   MultiEnclaveResult run_to_end();
 
-  // --- checkpoint/restore (same contract as SimulationRun) ---
-  // Format v2 lays multi-enclave state out per tenant: an "ENCM" identity
-  // section, the tenant's "APPS" clock/metrics, and its "DFPE" engine (when
-  // the scheme runs one) are grouped per enclave so one tenant can be
-  // extracted and inspected standalone (snapshot::extract_enclave).
-  void save(snapshot::Writer& w) const;
-  void save(snapshot::Writer& w, const snapshot::ChainHeader& chain) const;
-  void load(snapshot::Reader& r);
-  std::vector<std::uint8_t> save_bytes() const;
-  void load_bytes(const std::vector<std::uint8_t>& bytes);
-  bool restore_if_compatible(const std::vector<std::uint8_t>& bytes);
-  snapshot::RunMeta meta() const;
-
-  // --- delta checkpointing (same contract as SimulationRun) ---
-  void save_delta(snapshot::Writer& w, const snapshot::ChainHeader& chain,
-                  const snapshot::SectionGens& last) const;
-  void apply_delta_bytes(const std::vector<std::uint8_t>& bytes);
-  snapshot::SectionGens section_gens() const;
-  void clear_dirty();
+  snapshot::RunMeta meta() const override;
 
   // --- per-tenant inspection (the in-situ side of extraction tests) ---
   std::size_t enclave_count() const noexcept;
@@ -128,6 +115,9 @@ class MultiEnclaveRun {
   void retire_tenant(std::size_t enclave);
 
  private:
+  void save_head(snapshot::Writer& w) const override;
+  void load_head(snapshot::Reader& r) override;
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -1,14 +1,11 @@
 #include "core/simulator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_set>
 
 #include "common/check.h"
 #include "dfp/dfp_engine.h"
-#include "inject/fault_injector.h"
 #include "sgxsim/driver.h"
-#include "snapshot/chain.h"
 #include "snapshot/codec.h"
 
 namespace sgxpl::core {
@@ -29,52 +26,14 @@ SimulationRun::SimulationRun(const SimConfig& config, const trace::Trace& t,
   SGXPL_CHECK_MSG(cfg_.enclave.elrange_pages > 0,
                   "trace declares no ELRANGE size");
 
-  if (cfg_.uses_dfp()) {
-    dfp::DfpParams params = cfg_.dfp;
-    if (cfg_.dfp_stop_forced()) {
-      params.stop_enabled = true;
+  engine_ = make_dfp_engine(cfg_.scheme, cfg_.dfp);
+  build_driver(cfg_, cfg_.enclave, engine_.get());
+  attach_sinks(cfg_);
+  if (engine_ != nullptr) {
+    if (cfg_.registry != nullptr || cfg_.timeseries != nullptr) {
+      engine_->set_observability(cfg_.registry, cfg_.timeseries);
     }
-    engine_ = std::make_unique<dfp::DfpEngine>(params);
-  }
-  // Chaos attach: the injector perturbs the untrusted stack through the
-  // driver's ChaosHooks boundary; a plan with nothing enabled costs nothing.
-  // Under chaos the online watchdog defaults on (every 64 scans plus every
-  // injection boundary) so a hook that ever corrupted ground truth trips
-  // immediately, not at end-of-run.
-  if (cfg_.chaos.any_enabled()) {
-    injector_ = std::make_unique<inject::FaultInjector>(cfg_.chaos);
-    if (cfg_.enclave.watchdog_scan_interval == 0) {
-      cfg_.enclave.watchdog_scan_interval = 64;
-    }
-  }
-  driver_ = std::make_unique<sgxsim::Driver>(cfg_.enclave, cfg_.costs,
-                                             engine_.get());
-  if (injector_ != nullptr) {
-    driver_->set_chaos(injector_.get());
-  }
-
-  // Observability attach: each sink is independent and null means off.
-  if (cfg_.event_log != nullptr) {
-    cfg_.event_log->clear();  // the log holds exactly one run's window
-    driver_->set_event_log(cfg_.event_log);
-    if (injector_ != nullptr) {
-      injector_->set_event_log(cfg_.event_log);
-    }
-  }
-  if (cfg_.registry != nullptr) {
-    driver_->set_metrics(cfg_.registry);
-  }
-  if (cfg_.timeseries != nullptr) {
-    cfg_.timeseries->clear();  // like the event log: one run's window
-    driver_->set_time_series(cfg_.timeseries);
-  }
-  if (engine_ != nullptr &&
-      (cfg_.registry != nullptr || cfg_.timeseries != nullptr)) {
-    engine_->set_observability(cfg_.registry, cfg_.timeseries);
-  }
-  if (cfg_.profiler != nullptr) {
-    driver_->set_profiler(cfg_.profiler);
-    if (engine_ != nullptr) {
+    if (cfg_.profiler != nullptr) {
       engine_->set_profiler(cfg_.profiler);
     }
   }
@@ -201,13 +160,7 @@ Metrics SimulationRun::finish() {
     m_.inject = injector_->stats();
   }
   if (engine_ != nullptr) {
-    m_.dfp_stopped = engine_->stopped();
-    m_.dfp_stopped_at = engine_->stopped_at();
-    m_.dfp_preload_counter = engine_->preloaded_pages().preload_counter();
-    m_.dfp_acc_preload_counter =
-        engine_->preloaded_pages().acc_preload_counter();
-    m_.dfp_predictor_hits = engine_->predictor().hits();
-    m_.dfp_predictor_misses = engine_->predictor().misses();
+    fill_dfp_counters(m_, *engine_);
   }
   if (cfg_.registry != nullptr) {
     auto& reg = *cfg_.registry;
@@ -254,7 +207,7 @@ snapshot::RunMeta SimulationRun::meta() const {
   return meta;
 }
 
-void SimulationRun::save_run_section(snapshot::Writer& w) const {
+void SimulationRun::save_head(snapshot::Writer& w) const {
   w.begin_section("RUNS");
   w.boolean("run.started", started_);
   w.u64("run.cursor", cursor_);
@@ -263,7 +216,7 @@ void SimulationRun::save_run_section(snapshot::Writer& w) const {
   w.end_section();
 }
 
-void SimulationRun::load_run_section(snapshot::Reader& r) {
+void SimulationRun::load_head(snapshot::Reader& r) {
   r.enter_section("RUNS");
   started_ = r.boolean("run.started");
   cursor_ = r.u64("run.cursor");
@@ -275,132 +228,21 @@ void SimulationRun::load_run_section(snapshot::Reader& r) {
   r.leave_section();
 }
 
-void SimulationRun::save_tail_sections(snapshot::Writer& w) const {
+void SimulationRun::save_tail(snapshot::Writer& w) const {
   if (engine_ != nullptr) {
     w.begin_section("DFPE");
     engine_->save(w);
     w.end_section();
   }
-  if (injector_ != nullptr) {
-    w.begin_section("INJC");
-    injector_->save(w);
-    w.end_section();
-  }
 }
 
-void SimulationRun::load_tail_sections(snapshot::Reader& r) {
+void SimulationRun::load_tail(snapshot::Reader& r) {
   if (engine_ != nullptr) {
     r.enter_section("DFPE");
     engine_->load(r, cfg_.enclave.elrange_pages);
     r.leave_section();
   }
-  if (injector_ != nullptr) {
-    r.enter_section("INJC");
-    injector_->load(r);
-    r.leave_section();
-  }
 }
-
-void SimulationRun::save(snapshot::Writer& w) const {
-  save(w, snapshot::ChainHeader{});
-}
-
-void SimulationRun::save(snapshot::Writer& w,
-                         const snapshot::ChainHeader& chain) const {
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
-                  "save() writes full frames; deltas go through save_delta()");
-  snapshot::write_chain_header(w, chain);
-  snapshot::write_meta(w, meta());
-  save_run_section(w);
-  driver_->save_sections(w);
-  save_tail_sections(w);
-}
-
-void SimulationRun::load(snapshot::Reader& r) {
-  const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
-                  "this frame is delta "
-                      << chain.seq
-                      << " of a checkpoint chain and cannot be restored on "
-                         "its own; restore the chain from its base frame");
-  const snapshot::RunMeta stored = snapshot::read_meta(r);
-  const std::string mismatch = stored.incompatibility(meta());
-  SGXPL_CHECK_MSG(mismatch.empty(),
-                  "snapshot does not match this run: " << mismatch);
-  load_run_section(r);
-  driver_->load_sections(r);
-  load_tail_sections(r);
-  SGXPL_CHECK_MSG(r.sections_entered() == r.section_count(),
-                  "snapshot holds " << r.section_count()
-                                    << " sections but this run consumes "
-                                    << r.sections_entered());
-  finished_ = false;
-}
-
-std::vector<std::uint8_t> SimulationRun::save_bytes() const {
-  snapshot::Writer w;
-  save(w);
-  return w.finish();
-}
-
-void SimulationRun::load_bytes(const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  load(r);
-}
-
-bool SimulationRun::restore_if_compatible(
-    const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader probe(bytes);
-  (void)snapshot::read_chain_header(probe);
-  const snapshot::RunMeta stored = snapshot::read_meta(probe);
-  if (!stored.incompatibility(meta()).empty()) {
-    return false;
-  }
-  load_bytes(bytes);
-  return true;
-}
-
-void SimulationRun::save_delta(snapshot::Writer& w,
-                               const snapshot::ChainHeader& chain,
-                               const snapshot::SectionGens& last) const {
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kDelta,
-                  "save_delta() writes delta frames; full frames go through "
-                  "save()");
-  snapshot::write_chain_header(w, chain);
-  snapshot::write_meta(w, meta());
-  save_run_section(w);
-  driver_->save_delta_sections(w, last);
-  save_tail_sections(w);
-}
-
-void SimulationRun::apply_delta_bytes(const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kDelta,
-                  "apply_delta_bytes() on a full frame; restore it with "
-                  "load_bytes()");
-  const snapshot::RunMeta stored = snapshot::read_meta(r);
-  const std::string mismatch = stored.incompatibility(meta());
-  SGXPL_CHECK_MSG(mismatch.empty(),
-                  "delta frame does not match this run: " << mismatch);
-  load_run_section(r);
-  driver_->apply_delta_sections(r);
-  load_tail_sections(r);
-  SGXPL_CHECK_MSG(r.sections_entered() == r.section_count(),
-                  "delta frame holds " << r.section_count()
-                                       << " sections but this run consumes "
-                                       << r.sections_entered());
-  finished_ = false;
-}
-
-snapshot::SectionGens SimulationRun::section_gens() const {
-  return driver_->section_gens();
-}
-
-void SimulationRun::clear_dirty() { driver_->clear_dirty(); }
 
 EnclaveSimulator::EnclaveSimulator(const SimConfig& config)
     : config_(config) {}
@@ -412,49 +254,7 @@ Metrics EnclaveSimulator::run(const trace::Trace& t,
     return run_native(t);
   }
   SimulationRun run(config_, t, plan);
-  const CheckpointOptions& ck = config_.checkpoint;
-  // Checkpoint latency lands in the registry as steady-clock nanoseconds
-  // (~cycles at 1 GHz) — real I/O time, not virtual time.
-  const auto ns_since = [](std::chrono::steady_clock::time_point t0) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  };
-  if (!ck.resume_path.empty()) {
-    // Meta-gated: a snapshot belonging to a different configuration (benches
-    // that simulate several schemes overwrite one file per run) is skipped
-    // and this run starts fresh. Corrupt snapshots or broken chains still
-    // throw. Any `.delta-N` files beside the base are replayed on top.
-    obs::ScopedSpan span(config_.profiler, obs::Phase::kSnapshotLoad);
-    const auto t0 = std::chrono::steady_clock::now();
-    if (snapshot::restore_chain_from_files(run, ck.resume_path) &&
-        config_.registry != nullptr) {
-      config_.registry->histogram("snapshot.load_cycles").record(ns_since(t0));
-    }
-  }
-  const bool checkpointing = ck.every_accesses > 0 && !ck.path.empty();
-  snapshot::Snapshotter<SimulationRun> snap(ck.full_every);
-  while (!run.done()) {
-    run.step();
-    if (checkpointing && run.cursor() % ck.every_accesses == 0) {
-      obs::ScopedSpan span(config_.profiler, obs::Phase::kSnapshotSave);
-      const auto t0 = std::chrono::steady_clock::now();
-      const snapshot::ChainFrame frame = snap.checkpoint(run);
-      const bool full = frame.header.kind == snapshot::FrameKind::kFull;
-      snapshot::write_file_atomic(
-          full ? ck.path : snapshot::delta_path(ck.path, frame.header.seq),
-          frame.bytes);
-      if (full) snapshot::remove_stale_deltas(ck.path);
-      if (config_.registry != nullptr) {
-        config_.registry->histogram("snapshot.save_cycles")
-            .record(ns_since(t0));
-        config_.registry->histogram("snapshot.bytes_written")
-            .record(frame.bytes.size());
-      }
-    }
-  }
-  return run.finish();
+  return run_with_checkpoints(run, config_);
 }
 
 Metrics EnclaveSimulator::run_native(const trace::Trace& t) const {

@@ -20,9 +20,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/metrics.h"
+#include "core/run_lifecycle.h"
 #include "core/scheme.h"
 #include "sip/instrumenter.h"
 #include "snapshot/fwd.h"
@@ -34,23 +34,20 @@ namespace sgxpl::core {
 /// optional fault injector, observability attachments) plus the replay
 /// cursor. Non-copyable; the trace and plan must outlive the run.
 ///
-/// Checkpoint semantics: save() captures the COMPLETE state — every
-/// subsystem's counters, RNG streams, queues and cursors — such that
-/// load() into a freshly built run with the same configuration, followed by
-/// run_to_end(), produces Metrics bit-identical to the uninterrupted run.
-/// load() validates the snapshot's identity section ("META") against this
-/// run before touching any state, and throws a diagnostic CheckFailure on
-/// any mismatch or corruption.
-class SimulationRun {
+/// Checkpoint semantics (RunLifecycle): save() captures the COMPLETE state
+/// — every subsystem's counters, RNG streams, queues and cursors — such
+/// that load_bytes() into a freshly built run with the same configuration,
+/// followed by run_to_end(), produces Metrics bit-identical to the
+/// uninterrupted run. The run writes its RUNS section before the driver's
+/// and its DFPE engine after it.
+class SimulationRun final : public RunLifecycle {
  public:
   /// Native scheme is not steppable (no paging state); the ctor rejects it.
   /// `plan` is required by SIP-using schemes and ignored otherwise. The
   /// ELRANGE defaults to the trace's declared range.
   SimulationRun(const SimConfig& config, const trace::Trace& t,
                 const sip::InstrumentationPlan* plan = nullptr);
-  ~SimulationRun();
-  SimulationRun(const SimulationRun&) = delete;
-  SimulationRun& operator=(const SimulationRun&) = delete;
+  ~SimulationRun() override;
 
   bool done() const noexcept;
   /// Consume the next trace access — the unit of progress checkpoints are
@@ -70,53 +67,21 @@ class SimulationRun {
   /// step() until done(), then finish().
   Metrics run_to_end();
 
-  // --- checkpoint/restore ---
-  /// Write a complete full frame (standalone: chain id 0). The two-argument
-  /// form stamps the given chain header instead (must be a full frame; the
-  /// Snapshotter uses it for chain bases).
-  void save(snapshot::Writer& w) const;
-  void save(snapshot::Writer& w, const snapshot::ChainHeader& chain) const;
-  /// Read a full frame. Rejects delta frames (restore those through
-  /// snapshot::restore_chain).
-  void load(snapshot::Reader& r);
-  /// save()/load() through a complete framed snapshot.
-  std::vector<std::uint8_t> save_bytes() const;
-  void load_bytes(const std::vector<std::uint8_t>& bytes);
-  /// Meta-gated restore: returns false (leaving the run untouched) when
-  /// `bytes` describes a different run — other trace, scheme, chaos plan or
-  /// enclave geometry; throws CheckFailure when `bytes` is corrupt.
-  bool restore_if_compatible(const std::vector<std::uint8_t>& bytes);
-
-  /// Delta checkpointing (format v2): save_delta writes a frame holding the
-  /// chain header, META, RUNS, the always-rewritten DRVR section, sparse
-  /// deltas of only the bulk structures whose generation moved past `last`,
-  /// and the (small) DFPE/INJC sections. apply_delta_bytes replays such a
-  /// frame on top of this run's current state; callers go through
-  /// snapshot::restore_chain, which enforces chain linkage.
-  void save_delta(snapshot::Writer& w, const snapshot::ChainHeader& chain,
-                  const snapshot::SectionGens& last) const;
-  void apply_delta_bytes(const std::vector<std::uint8_t>& bytes);
-  snapshot::SectionGens section_gens() const;
-  void clear_dirty();
-
-  /// This run's identity as written into snapshots.
-  snapshot::RunMeta meta() const;
+  snapshot::RunMeta meta() const override;
 
  private:
   void hoist(std::size_t idx);
   void ensure_started();
-  void save_run_section(snapshot::Writer& w) const;
-  void load_run_section(snapshot::Reader& r);
-  void save_tail_sections(snapshot::Writer& w) const;
-  void load_tail_sections(snapshot::Reader& r);
+  void save_head(snapshot::Writer& w) const override;
+  void load_head(snapshot::Reader& r) override;
+  void save_tail(snapshot::Writer& w) const override;
+  void load_tail(snapshot::Reader& r) override;
 
   SimConfig cfg_;
   const trace::Trace* trace_;
   const sip::InstrumentationPlan* plan_;
   bool sip_on_ = false;
   std::unique_ptr<dfp::DfpEngine> engine_;
-  std::unique_ptr<inject::FaultInjector> injector_;
-  std::unique_ptr<sgxsim::Driver> driver_;
   Metrics m_;
   Cycles now_ = 0;
   std::uint64_t cursor_ = 0;
@@ -124,7 +89,6 @@ class SimulationRun {
   // first step so a restore never re-executes it; serialized so a snapshot
   // taken at cursor 0 still resumes exactly.
   bool started_ = false;
-  bool finished_ = false;
 };
 
 class EnclaveSimulator {

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdlib>
+#include <optional>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "snapshot/codec.h"
 #include "snapshot/snapshotter.h"
@@ -103,10 +105,11 @@ LinkChaos LinkChaos::parse(const std::string& spec) {
     } else if (key == "bitflip") {
       c.bitflip = parse_probability(key, value);
     } else if (key == "seed") {
-      char* end = nullptr;
-      c.seed = std::strtoull(value.c_str(), &end, 10);
-      SGXPL_CHECK_MSG(end != nullptr && *end == '\0' && !value.empty(),
-                      "link chaos: seed '" << value << "' is not an integer");
+      const std::optional<std::uint64_t> seed = parse_unsigned(value);
+      SGXPL_CHECK_MSG(seed.has_value(), "link chaos: seed '"
+                                            << value
+                                            << "' is not an unsigned integer");
+      c.seed = *seed;
     } else {
       throw CheckFailure("link chaos: unknown key '" + key +
                          "' (want drop/dup/truncate/bitflip/seed)");

@@ -1,25 +1,16 @@
 #include "fleet/supervisor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "core/sharding.h"
 
 namespace sgxpl::fleet {
 
 namespace {
-
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
 
 std::vector<std::string> split_colon(const std::string& spec) {
   std::vector<std::string> parts;
@@ -116,28 +107,31 @@ std::optional<CheckpointPolicy> CheckpointPolicy::parse(const std::string& spec,
     return fail("too many ':' fields in '" + spec +
                 "' (want mode:value[:fullN])");
   }
-  std::uint64_t value = 0;
-  if (!parse_u64(parts[1], &value) || value == 0) {
+  const std::optional<std::uint64_t> value = parse_unsigned(parts[1], 1);
+  if (!value.has_value()) {
     return fail("bad checkpoint value '" + parts[1] +
                 "' (want a positive integer)");
   }
   switch (p.mode) {
     case CheckpointMode::kFixed:
-      p.fixed_every = value;
+      p.fixed_every = *value;
       break;
     case CheckpointMode::kDirtyBudget:
-      p.dirty_byte_budget = value;
+      p.dirty_byte_budget = *value;
       break;
     case CheckpointMode::kRpoTarget:
-      p.rpo_target_cycles = value;
+      p.rpo_target_cycles = *value;
       break;
   }
   if (parts.size() == 3) {
-    if (parts[2].rfind("full", 0) != 0 ||
-        !parse_u64(parts[2].substr(4), &p.full_every) || p.full_every == 0) {
+    const std::optional<std::uint64_t> full =
+        parts[2].rfind("full", 0) == 0 ? parse_unsigned(parts[2].substr(4), 1)
+                                       : std::nullopt;
+    if (!full.has_value()) {
       return fail("bad chain-length field '" + parts[2] +
                   "' (want fullN with N >= 1)");
     }
+    p.full_every = *full;
   }
   return p;
 }

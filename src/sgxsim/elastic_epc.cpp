@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <utility>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "snapshot/codec.h"
 
 namespace sgxpl::sgxsim {
@@ -37,20 +39,6 @@ std::string at(std::size_t pos) {
 constexpr const char* kKnownKeys =
     "floor, grow, decrease, util, pressure, streak, cooldown, idle";
 
-bool parse_u64(std::string_view s, std::uint64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const std::string buf(s);
-  const std::uint64_t v = std::strtoull(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 bool parse_fraction(std::string_view s, double* out) {
   if (s.empty()) {
     return false;
@@ -79,21 +67,24 @@ bool parse_entry(std::string_view entry, std::size_t base, ElasticParams* p,
   if (value.empty()) {
     return fail(err, "missing value after '='" + at(base + eq));
   }
-  std::uint64_t n = 0;
+  // Window counts are u32 fields: bound them there, never truncate.
+  constexpr std::uint64_t kMaxWindows =
+      std::numeric_limits<std::uint32_t>::max();
+  std::optional<std::uint64_t> n;
   double f = 0.0;
   if (key == "floor") {
-    if (!parse_u64(value, &n) || n == 0) {
+    if (!(n = parse_unsigned(value, 1))) {
       return fail(err, "bad floor '" + std::string(value) + "'" +
                            at(value_base) + " (want a positive page count)");
     }
-    p->floor_pages = n;
+    p->floor_pages = *n;
   } else if (key == "grow") {
-    if (!parse_u64(value, &n)) {
+    if (!(n = parse_unsigned(value))) {
       return fail(err, "bad grow step '" + std::string(value) + "'" +
                            at(value_base) +
                            " (want a page count; 0 freezes growth)");
     }
-    p->grow_step = n;
+    p->grow_step = *n;
   } else if (key == "decrease") {
     if (!parse_fraction(value, &f) || f <= 0.0 || f >= 1.0) {
       return fail(err, "bad decrease factor '" + std::string(value) + "'" +
@@ -108,30 +99,30 @@ bool parse_entry(std::string_view entry, std::size_t base, ElasticParams* p,
     }
     p->backpressure_utilization = f;
   } else if (key == "pressure") {
-    if (!parse_u64(value, &n) || n == 0) {
+    if (!(n = parse_unsigned(value, 1))) {
       return fail(err, "bad pressure threshold '" + std::string(value) + "'" +
                            at(value_base) + " (want a positive fault count)");
     }
-    p->pressure_faults = n;
+    p->pressure_faults = *n;
   } else if (key == "streak") {
-    if (!parse_u64(value, &n) || n == 0) {
+    if (!(n = parse_unsigned(value, 1, kMaxWindows))) {
       return fail(err, "bad grow streak '" + std::string(value) + "'" +
                            at(value_base) + " (want a positive window count)");
     }
-    p->grow_streak = static_cast<std::uint32_t>(n);
+    p->grow_streak = static_cast<std::uint32_t>(*n);
   } else if (key == "cooldown") {
-    if (!parse_u64(value, &n)) {
+    if (!(n = parse_unsigned(value, 0, kMaxWindows))) {
       return fail(err, "bad cooldown '" + std::string(value) + "'" +
                            at(value_base) + " (want a window count)");
     }
-    p->cooldown_windows = static_cast<std::uint32_t>(n);
+    p->cooldown_windows = static_cast<std::uint32_t>(*n);
   } else if (key == "idle") {
-    if (!parse_u64(value, &n)) {
+    if (!(n = parse_unsigned(value, 0, kMaxWindows))) {
       return fail(err, "bad idle window count '" + std::string(value) + "'" +
                            at(value_base) +
                            " (want a window count; 0 disables idle shrink)");
     }
-    p->idle_windows = static_cast<std::uint32_t>(n);
+    p->idle_windows = static_cast<std::uint32_t>(*n);
   } else {
     return fail(err, "unknown elastic key '" + std::string(key) + "'" +
                          at(base) + " (valid keys: " + kKnownKeys + ")");

@@ -145,6 +145,16 @@ class Snapshotter {
   std::uint64_t delta_bytes_ = 0;
 };
 
+/// The META gate of every restore that skips a foreign snapshot instead of
+/// refusing it: true when the validated frame `bytes` was written by a run
+/// whose identity matches `run.meta()` (cursor excluded).
+template <class Run>
+bool belongs_to(const Run& run, const std::vector<std::uint8_t>& bytes) {
+  Reader probe(bytes);
+  (void)read_chain_header(probe);
+  return read_meta(probe).incompatibility(run.meta()).empty();
+}
+
 /// Restore `run` from a chain given as in-memory frames (base first).
 /// Throws ChainError on linkage violations and CheckFailure on corrupt
 /// frames. Requires of `Run`: load_bytes(), apply_delta_bytes().
@@ -422,15 +432,13 @@ bool restore_chain_from_files(Run& run, const std::string& base_path) {
   std::vector<std::vector<std::uint8_t>> frames;
   frames.push_back(read_file(base_path));
   validate_frame(frames[0]);
-  Reader probe(frames[0]);
-  const ChainHeader base = read_chain_header(probe);
+  const ChainHeader base = read_chain_header_bytes(frames[0]);
   if (base.kind != FrameKind::kFull) {
     throw ChainError("'" + base_path +
                      "' holds a delta frame, not a chain base — restore "
                      "from the chain's base file");
   }
-  const RunMeta stored = read_meta(probe);
-  if (!stored.incompatibility(run.meta()).empty()) return false;
+  if (!belongs_to(run, frames[0])) return false;
   for (std::uint64_t seq = 1;; ++seq) {
     const std::string path = delta_path(base_path, seq);
     if (!file_readable(path)) break;

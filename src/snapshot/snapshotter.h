@@ -1,8 +1,8 @@
-// Convenience facade over the snapshot codec for whole-run checkpointing:
-// capture/restore of SimulationRun and MultiEnclaveRun, file round-trips,
-// and state diffing — the verbs the kill-restore harness and the bench
-// --checkpoint/--resume flags are written in. Everything here is sugar over
-// the runs' own save()/load(); no state lives in this layer.
+// Whole-run snapshot tools over the codec: per-tenant extraction and the
+// live-migration carve of multi-enclave frames, and state diffing — the
+// divergence reporter of the kill-restore harness. Capture and restore are
+// the runs' own save_bytes()/load_bytes()/restore_if_compatible()
+// (core::RunLifecycle); no state lives in this layer.
 #pragma once
 
 #include <cstdint>
@@ -13,45 +13,7 @@
 #include "core/simulator.h"
 #include "snapshot/codec.h"
 
-namespace sgxpl::obs {
-class MetricsRegistry;
-}  // namespace sgxpl::obs
-
 namespace sgxpl::snapshot {
-
-/// Full framed snapshot of the run's current state.
-std::vector<std::uint8_t> capture(const core::SimulationRun& run);
-std::vector<std::uint8_t> capture(const core::MultiEnclaveRun& run);
-
-/// Restore `run` from a snapshot taken from an identically configured run.
-/// Throws CheckFailure on corruption or configuration mismatch.
-void restore(core::SimulationRun& run, const std::vector<std::uint8_t>& bytes);
-void restore(core::MultiEnclaveRun& run,
-             const std::vector<std::uint8_t>& bytes);
-
-/// Atomic snapshot-to-file (temp file + rename).
-void capture_to_file(const core::SimulationRun& run, const std::string& path);
-void capture_to_file(const core::MultiEnclaveRun& run,
-                     const std::string& path);
-
-/// Restore from `path` if it exists and describes this run; returns false
-/// (run untouched) when the file is absent or belongs to a different run.
-/// Throws CheckFailure when the file exists but is corrupt.
-bool restore_from_file(core::SimulationRun& run, const std::string& path);
-bool restore_from_file(core::MultiEnclaveRun& run, const std::string& path);
-
-/// Timed variants: additionally record the wall-clock cost of the
-/// serialize+write (or read+deserialize) into `reg`'s "snapshot.save_cycles"
-/// / "snapshot.load_cycles" histograms. Latency is steady-clock nanoseconds
-/// (~cycles at 1 GHz); a null registry degrades to the untimed variants.
-void capture_to_file(const core::SimulationRun& run, const std::string& path,
-                     obs::MetricsRegistry* reg);
-void capture_to_file(const core::MultiEnclaveRun& run, const std::string& path,
-                     obs::MetricsRegistry* reg);
-bool restore_from_file(core::SimulationRun& run, const std::string& path,
-                       obs::MetricsRegistry* reg);
-bool restore_from_file(core::MultiEnclaveRun& run, const std::string& path,
-                       obs::MetricsRegistry* reg);
 
 // --- per-enclave extraction (format v2 multi-enclave frames) ---
 

@@ -127,6 +127,40 @@ TEST(ElasticSpec, MalformedSpecsNameTheTokenAndPosition) {
   }
 }
 
+TEST(ElasticSpec, RefusesSignsAndValuesPastTheFieldWidth) {
+  // A strtoull parse wraps "-1" to 2^64-1, and a u32 cast truncates
+  // 4294967296 to 0 (past the "positive" check) and 4294967297 to 1.
+  const struct {
+    const char* spec;
+    const char* want;
+  } cases[] = {
+      {"floor=-1",
+       "bad floor '-1' at position 6 (want a positive page count)"},
+      {"grow= 8",
+       "bad grow step ' 8' at position 5 (want a page count; 0 freezes "
+       "growth)"},
+      {"streak=4294967296",
+       "bad grow streak '4294967296' at position 7 (want a positive window "
+       "count)"},
+      {"cooldown=4294967297",
+       "bad cooldown '4294967297' at position 9 (want a window count)"},
+      {"idle=4294967296",
+       "bad idle window count '4294967296' at position 5 (want a window "
+       "count; 0 disables idle shrink)"},
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_FALSE(parse_elastic_spec(c.spec, &err).has_value()) << c.spec;
+    EXPECT_EQ(err, c.want) << c.spec;
+  }
+  const auto widest =
+      parse_elastic_spec("streak=4294967295,cooldown=0xffffffff,idle=0");
+  ASSERT_TRUE(widest.has_value());
+  EXPECT_EQ(widest->grow_streak, 4294967295u);
+  EXPECT_EQ(widest->cooldown_windows, 4294967295u);
+  EXPECT_EQ(widest->idle_windows, 0u);
+}
+
 // --- lifecycle and the initial split ----------------------------------------
 
 TEST(ElasticController, FinalizeSplitsEvenlyAboveFloorsAndPoolsTheRest) {

@@ -332,6 +332,25 @@ TEST(Migration, LinkChaosSpecRoundTripsAndRejectsGarbage) {
   EXPECT_THROW(LinkChaos::parse("seed=banana"), CheckFailure);
 }
 
+TEST(Migration, LinkChaosSeedRefusesSignsAndOverflow) {
+  // A strtoull parse reads seed=-1 as 2^64-1; the strict parse refuses it.
+  for (const char* spec :
+       {"seed=-1", "seed= 7", "seed=+7", "seed=18446744073709551616",
+        "seed="}) {
+    try {
+      (void)LinkChaos::parse(spec);
+      ADD_FAILURE() << spec << " accepted";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("link chaos: seed '"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(LinkChaos::parse("seed=0x2a").seed, 42u);
+  EXPECT_EQ(LinkChaos::parse("seed=18446744073709551615").seed,
+            ~std::uint64_t{0});
+}
+
 TEST(Migration, OutcomeNamesAreStable) {
   EXPECT_STREQ(to_string(MigrationOutcome::kCompleted), "completed");
   EXPECT_STREQ(to_string(MigrationOutcome::kAbortedLink), "aborted-link");

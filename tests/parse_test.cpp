@@ -1,16 +1,17 @@
-// The bench harness's numeric flags (--seed, --checkpoint-every,
-// --full-every, --shards) share one strict parse: the whole value must be
-// an in-range unsigned integer, so a sign, a suffix or an overflow is an
-// error instead of a silently wrapped or truncated number.
+// Every numeric flag and spec field (bench --seed/--checkpoint-every/
+// --full-every/--shards, checkpoint policies, elastic and link-chaos specs,
+// tool arguments) shares one strict parse: the whole value must be an
+// in-range unsigned integer, so a sign, a suffix or an overflow is an error
+// instead of a silently wrapped or truncated number.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 
-#include "bench_common.h"
+#include "common/parse.h"
 #include "core/sharding.h"
 
-namespace sgxpl::bench {
+namespace sgxpl {
 namespace {
 
 constexpr std::uint64_t kAny = ~std::uint64_t{0};
@@ -39,4 +40,4 @@ TEST(ParseUnsigned, RejectsOverflowAndOutOfRange) {
 }
 
 }  // namespace
-}  // namespace sgxpl::bench
+}  // namespace sgxpl

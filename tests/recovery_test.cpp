@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,10 +74,10 @@ core::Metrics run_killed_at(const SimConfig& cfg, const trace::Trace& t,
     while (!victim.done() && victim.cursor() < cut) {
       victim.step();
     }
-    snap = snapshot::capture(victim);
+    snap = victim.save_bytes();
   }
   SimulationRun resumed(cfg, t, plan);
-  snapshot::restore(resumed, snap);
+  resumed.load_bytes(snap);
   return resumed.run_to_end();
 }
 
@@ -157,7 +158,7 @@ TEST(KillRestore, ResumedRunStateMatchesTheVictimExactly) {
     a.step();
   }
   SimulationRun b(cfg, t, nullptr);
-  snapshot::restore(b, snapshot::capture(a));
+  b.load_bytes(a.save_bytes());
   const auto d = snapshot::diff_runs(a, b);
   EXPECT_TRUE(d.identical) << d.first_divergence;
   for (int i = 0; i < 200 && !a.done(); ++i) {
@@ -177,7 +178,7 @@ TEST(KillRestore, RestoreIsRefusedForADifferentRun) {
   while (victim.cursor() < 64) {
     victim.step();
   }
-  const auto snap = snapshot::capture(victim);
+  const auto snap = victim.save_bytes();
   {
     SimulationRun other(small_config(Scheme::kBaseline), t, nullptr);
     EXPECT_FALSE(other.restore_if_compatible(snap));
@@ -214,7 +215,7 @@ TEST(KillRestore, CorruptSnapshotsAreRejectedNotApplied) {
   while (victim.cursor() < 100) {
     victim.step();
   }
-  const auto snap = snapshot::capture(victim);
+  const auto snap = victim.save_bytes();
   auto flipped = snap;
   flipped[flipped.size() - 3] ^= 0x40;  // payload bit flip -> CRC mismatch
   SimulationRun fresh(cfg, t, nullptr);
@@ -242,9 +243,9 @@ TEST(KillRestore, CaptureToFileRoundTrips) {
     victim.step();
   }
   const std::string path = testing::TempDir() + "sgxpl-capture.snap";
-  snapshot::capture_to_file(victim, path);
+  snapshot::write_file_atomic(path, victim.save_bytes());
   SimulationRun fresh(cfg, t, nullptr);
-  ASSERT_TRUE(snapshot::restore_from_file(fresh, path));
+  ASSERT_TRUE(snapshot::restore_chain_from_files(fresh, path));
   EXPECT_EQ(fresh.cursor(), 200u);
   const auto d = snapshot::diff_runs(victim, fresh);
   EXPECT_TRUE(d.identical) << d.first_divergence;
@@ -254,7 +255,7 @@ TEST(KillRestore, CaptureToFileRoundTrips) {
 TEST(KillRestore, RestoreFromAbsentFileReturnsFalse) {
   const auto t = mixed_trace();
   SimulationRun run(small_config(Scheme::kBaseline), t, nullptr);
-  EXPECT_FALSE(snapshot::restore_from_file(
+  EXPECT_FALSE(snapshot::restore_chain_from_files(
       run, testing::TempDir() + "no-such-snapshot.snap"));
   EXPECT_EQ(run.cursor(), 0u);
 }
@@ -293,7 +294,7 @@ TEST(KillRestore, ForeignOrAbsentResumeFileStartsTheRunFresh) {
     for (int i = 0; i < 64; ++i) {
       other.step();
     }
-    snapshot::capture_to_file(other, path);
+    snapshot::write_file_atomic(path, other.save_bytes());
   }
   auto resuming = small_config(Scheme::kBaseline);
   resuming.checkpoint.resume_path = path;
@@ -359,7 +360,7 @@ TEST(KillRestore, HardenedConfigRefusesSeedSnapshots) {
   while (victim.cursor() < 64) {
     victim.step();
   }
-  const auto snap = snapshot::capture(victim);
+  const auto snap = victim.save_bytes();
   auto hardened = cfg;
   hardened.enclave.channel.max_queued = 12;
   hardened.enclave.channel.max_retries = 3;
@@ -385,10 +386,10 @@ TEST(KillRestore, MultiEnclaveResumesBitIdentically) {
     while (!victim.done() && victim.steps() < cut) {
       victim.step();
     }
-    snap = snapshot::capture(victim);
+    snap = victim.save_bytes();
   }
   core::MultiEnclaveRun resumed(cfg, apps);
-  snapshot::restore(resumed, snap);
+  resumed.load_bytes(snap);
   const auto got = resumed.run_to_end();
   EXPECT_EQ(want.makespan, got.makespan);
   ASSERT_EQ(want.per_enclave.size(), got.per_enclave.size());
@@ -413,7 +414,7 @@ TEST(KillRestore, MultiEnclaveRefusesForeignSnapshots) {
   for (int i = 0; i < 100; ++i) {
     victim.step();
   }
-  const auto snap = snapshot::capture(victim);
+  const auto snap = victim.save_bytes();
   // A single-enclave run must refuse a multi-enclave snapshot (and say why).
   SimulationRun single(small_config(Scheme::kDfpStop), ta, nullptr);
   EXPECT_FALSE(single.restore_if_compatible(snap));
@@ -461,10 +462,10 @@ TEST(KillRestore, ElasticMultiEnclaveResumesBitIdenticallyAtEveryCut) {
       while (!victim.done() && victim.steps() < cut) {
         victim.step();
       }
-      snap = snapshot::capture(victim);
+      snap = victim.save_bytes();
     }
     core::MultiEnclaveRun resumed(cfg, apps);
-    snapshot::restore(resumed, snap);
+    resumed.load_bytes(snap);
     const auto got = resumed.run_to_end();
     EXPECT_EQ(want.makespan, got.makespan) << "cut=" << cut;
     ASSERT_EQ(want.per_enclave.size(), got.per_enclave.size());
@@ -501,7 +502,7 @@ TEST(KillRestore, ElasticConfigAndPlainConfigRefuseEachOthersSnapshots) {
     for (int i = 0; i < 200; ++i) {
       run.step();
     }
-    return snapshot::capture(run);
+    return run.save_bytes();
   };
   const auto plain_snap = snapshot_of(plain_cfg);
   core::MultiEnclaveRun elastic_run(elastic_cfg, apps);
@@ -509,6 +510,206 @@ TEST(KillRestore, ElasticConfigAndPlainConfigRefuseEachOthersSnapshots) {
   const auto elastic_snap = snapshot_of(elastic_cfg);
   core::MultiEnclaveRun plain_run(plain_cfg, apps);
   EXPECT_FALSE(plain_run.restore_if_compatible(elastic_snap));
+}
+
+// --- the co-run's file checkpoint loop ---------------------------------------
+
+std::vector<core::EnclaveApp> two_tenants(const trace::Trace& ta,
+                                          const trace::Trace& tb) {
+  return {{.trace = &ta, .scheme = Scheme::kDfpStop},
+          {.trace = &tb, .scheme = Scheme::kBaseline}};
+}
+
+void expect_same_corun(const core::MultiEnclaveResult& want,
+                       const core::MultiEnclaveResult& got,
+                       const std::string& context) {
+  EXPECT_EQ(want.makespan, got.makespan) << context;
+  ASSERT_EQ(want.per_enclave.size(), got.per_enclave.size()) << context;
+  for (std::size_t i = 0; i < want.per_enclave.size(); ++i) {
+    const auto d =
+        snapshot::diff_metrics(want.per_enclave[i], got.per_enclave[i]);
+    EXPECT_TRUE(d.identical)
+        << context << ", enclave " << i << ": " << d.first_divergence;
+  }
+  EXPECT_EQ(want.driver.faults, got.driver.faults) << context;
+  EXPECT_EQ(want.driver.evictions, got.driver.evictions) << context;
+}
+
+TEST(KillRestore, CoRunFileCheckpointChainResumeMatchesUninterrupted) {
+  // MultiEnclaveSimulator::run drives the same file loop as simulate():
+  // with full_every > 1 the chain's deltas land beside the base, and a
+  // resume replays base + deltas before finishing.
+  const auto ta = mixed_trace(4);
+  const auto tb = mixed_trace(5);
+  const auto apps = two_tenants(ta, tb);
+  const auto cfg = small_config(Scheme::kBaseline, 128);
+  const auto want = core::MultiEnclaveSimulator(cfg).run(apps);
+  const std::string path = testing::TempDir() + "sgxpl-corun-ck.snap";
+  std::remove(path.c_str());
+  snapshot::remove_stale_deltas(path);
+  auto writing = cfg;
+  writing.checkpoint.path = path;
+  writing.checkpoint.every_accesses = 97;
+  writing.checkpoint.full_every = 4;
+  expect_same_corun(want, core::MultiEnclaveSimulator(writing).run(apps),
+                    "checkpointing must not perturb the co-run");
+  ASSERT_TRUE(snapshot::file_readable(path));
+  ASSERT_TRUE(snapshot::file_readable(snapshot::delta_path(path, 1)))
+      << "the cadence left no delta on disk; the chain path went untested";
+  auto resuming = cfg;
+  resuming.checkpoint.resume_path = path;
+  expect_same_corun(want, core::MultiEnclaveSimulator(resuming).run(apps),
+                    "resume from the on-disk chain");
+  // The resume really started mid-run: the chain's base is past cursor 0.
+  core::MultiEnclaveRun probe(cfg, apps);
+  ASSERT_TRUE(snapshot::restore_chain_from_files(probe, path));
+  EXPECT_GT(probe.steps(), 0u);
+  // A corrupt delta is an error, not a silent fresh start.
+  const std::string delta = snapshot::delta_path(path, 1);
+  auto bytes = snapshot::read_file(delta);
+  bytes[bytes.size() / 2] ^= 0x10;
+  snapshot::write_file_atomic(delta, bytes);
+  EXPECT_THROW(core::MultiEnclaveSimulator(resuming).run(apps), CheckFailure);
+  std::remove(path.c_str());
+  snapshot::remove_stale_deltas(path);
+}
+
+TEST(KillRestore, CoRunForeignOrCorruptResumeFile) {
+  const auto ta = mixed_trace(4);
+  const auto tb = mixed_trace(5);
+  const auto apps = two_tenants(ta, tb);
+  const auto cfg = small_config(Scheme::kBaseline, 128);
+  const auto want = core::MultiEnclaveSimulator(cfg).run(apps);
+  const std::string path = testing::TempDir() + "sgxpl-corun-foreign.snap";
+  // Same traces, schemes swapped between the tenants: a foreign co-run.
+  const std::vector<core::EnclaveApp> swapped = {
+      {.trace = &ta, .scheme = Scheme::kBaseline},
+      {.trace = &tb, .scheme = Scheme::kDfpStop}};
+  {
+    core::MultiEnclaveRun other(cfg, swapped);
+    for (int i = 0; i < 100; ++i) {
+      other.step();
+    }
+    snapshot::write_file_atomic(path, other.save_bytes());
+  }
+  auto resuming = cfg;
+  resuming.checkpoint.resume_path = path;
+  expect_same_corun(want, core::MultiEnclaveSimulator(resuming).run(apps),
+                    "foreign snapshot must be skipped");
+  // Corruption is still an error for the run the file belongs to.
+  auto bytes = snapshot::read_file(path);
+  bytes[bytes.size() / 2] ^= 0x10;
+  snapshot::write_file_atomic(path, bytes);
+  EXPECT_THROW(core::MultiEnclaveSimulator(resuming).run(swapped),
+               CheckFailure);
+  std::remove(path.c_str());
+}
+
+// --- one refusal battery over both engines -----------------------------------
+
+/// A solo run of the recovery trace; make(scheme) builds a fresh one.
+struct SoloRig {
+  using Run = SimulationRun;
+  trace::Trace t = mixed_trace();
+  std::unique_ptr<Run> make(Scheme scheme) const {
+    return std::make_unique<Run>(small_config(scheme), t, nullptr);
+  }
+};
+
+/// A two-tenant co-run; `scheme` is tenant 0's.
+struct CoRunRig {
+  using Run = core::MultiEnclaveRun;
+  trace::Trace ta = mixed_trace(4);
+  trace::Trace tb = mixed_trace(5);
+  std::unique_ptr<Run> make(Scheme scheme) const {
+    const std::vector<core::EnclaveApp> apps = {
+        {.trace = &ta, .scheme = scheme},
+        {.trace = &tb, .scheme = Scheme::kBaseline}};
+    return std::make_unique<Run>(small_config(Scheme::kBaseline, 128), apps);
+  }
+};
+
+template <class Rig>
+class FrameRefusal : public testing::Test {
+ protected:
+  using Run = typename Rig::Run;
+
+  /// A run of the rig's default identity, stepped `n` accesses.
+  std::unique_ptr<Run> stepped(int n, Scheme scheme = Scheme::kDfpStop) {
+    auto run = rig_.make(scheme);
+    for (int i = 0; i < n; ++i) {
+      run->step();
+    }
+    return run;
+  }
+
+  Rig rig_;
+};
+
+using Engines = testing::Types<SoloRig, CoRunRig>;
+TYPED_TEST_SUITE(FrameRefusal, Engines);
+
+template <class Fn>
+void expect_refused(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "accepted a frame that should be refused (" << needle
+                  << ")";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TYPED_TEST(FrameRefusal, BareDeltaIsRefusedByLoadBytes) {
+  auto victim = this->stepped(64);
+  snapshot::Snapshotter<typename TypeParam::Run> snap(4);
+  (void)snap.checkpoint(*victim);
+  for (int i = 0; i < 64; ++i) {
+    victim->step();
+  }
+  const snapshot::ChainFrame delta = snap.checkpoint(*victim);
+  ASSERT_EQ(delta.header.kind, snapshot::FrameKind::kDelta);
+  auto fresh = this->stepped(0);
+  const auto before = fresh->save_bytes();
+  expect_refused([&] { fresh->load_bytes(delta.bytes); },
+                 "cannot be restored on its own");
+  EXPECT_EQ(fresh->save_bytes(), before);
+}
+
+TYPED_TEST(FrameRefusal, FullFrameIsRefusedByApplyDeltaBytes) {
+  const auto full = this->stepped(64)->save_bytes();
+  auto fresh = this->stepped(0);
+  const auto before = fresh->save_bytes();
+  expect_refused([&] { fresh->apply_delta_bytes(full); },
+                 "apply_delta_bytes() on a full frame");
+  EXPECT_EQ(fresh->save_bytes(), before);
+}
+
+TYPED_TEST(FrameRefusal, ForeignMetaIsSkippedAndLeavesTheRunUntouched) {
+  const auto snap = this->stepped(64)->save_bytes();
+  auto other = this->stepped(32, Scheme::kBaseline);
+  const auto before = other->save_bytes();
+  EXPECT_FALSE(other->restore_if_compatible(snap));
+  EXPECT_EQ(other->save_bytes(), before);
+  // The strict path refuses the same frame and names the mismatch.
+  expect_refused([&] { other->load_bytes(snap); }, "does not match this run");
+}
+
+TYPED_TEST(FrameRefusal, SurplusSectionIsRefused) {
+  auto victim = this->stepped(64);
+  snapshot::Writer w;
+  victim->save(w);
+  w.begin_section("XTRA");
+  w.u64("surplus", 1);
+  w.end_section();
+  const auto bytes = w.finish();
+  auto fresh = this->stepped(0);
+  expect_refused([&] { fresh->load_bytes(bytes); },
+                 "sections but this run consumes");
+  // The well-formed frame still restores.
+  fresh->load_bytes(victim->save_bytes());
+  EXPECT_EQ(fresh->save_bytes(), victim->save_bytes());
 }
 
 // --- per-enclave extraction -------------------------------------------------

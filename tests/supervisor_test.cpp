@@ -99,6 +99,34 @@ TEST(CheckpointPolicy, ParseRejectsMalformedSpecsWithTypedErrors) {
   }
 }
 
+TEST(CheckpointPolicy, ParseRefusesSignsSpacesAndWrappedValues) {
+  // A strtoull parse reads "-1" as 2^64-1 and skips a leading space; every
+  // value goes through the one strict unsigned parse instead.
+  const struct {
+    const char* spec;
+    const char* want;
+  } kBad[] = {
+      {"fixed:-1", "bad checkpoint value '-1' (want a positive integer)"},
+      {"fixed: 5", "bad checkpoint value ' 5' (want a positive integer)"},
+      {"dirty:+4", "bad checkpoint value '+4' (want a positive integer)"},
+      {"rpo:18446744073709551616",
+       "bad checkpoint value '18446744073709551616' (want a positive "
+       "integer)"},
+      {"fixed:16:full-1",
+       "bad chain-length field 'full-1' (want fullN with N >= 1)"},
+      {"fixed:16:full 2",
+       "bad chain-length field 'full 2' (want fullN with N >= 1)"},
+  };
+  for (const auto& c : kBad) {
+    std::string err;
+    EXPECT_FALSE(CheckpointPolicy::parse(c.spec, &err).has_value()) << c.spec;
+    EXPECT_EQ(err, c.want) << c.spec;
+  }
+  const auto hex = CheckpointPolicy::parse("fixed:0x800:full8");
+  ASSERT_TRUE(hex.has_value());
+  EXPECT_EQ(hex->fixed_every, 2048u);
+}
+
 TEST(HostCrashPlan, ParseRoundTripsAndRejects) {
   std::string err;
   auto p = inject::HostCrashPlan::parse("host-crash:0.02:0.5", &err);
