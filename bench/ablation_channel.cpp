@@ -5,7 +5,9 @@
 //       flush shows the value of demand priority;
 //   (c) the preload worker's per-page dispatch overhead — the reason
 //       preloading cannot pipeline at the raw ELDU rate;
-//   (d) backward-stream detection in Algorithm 1's direction field.
+//   (d) backward-stream detection in Algorithm 1's direction field;
+//   (e) memory-bandwidth contention between page copies and enclave
+//       compute (SimConfig::channel_contention, off in the paper platform).
 #include <iostream>
 
 #include "bench_common.h"
@@ -35,6 +37,12 @@ int main(int argc, char** argv) {
   TextTable tbl({"workload", "DFP (paper policy)", "parallel channel",
                  "flush-all", "fifo (no priority)", "no dispatch cost",
                  "forward-only"});
+  const std::vector<double> contentions = {0.0, 0.25, 0.5, 1.0};
+  std::vector<std::string> contention_cols = {"workload"};
+  for (const double c : contentions) {
+    contention_cols.push_back("contention " + TextTable::fmt(c));
+  }
+  TextTable contention_tbl(contention_cols);
   for (const auto& name : workloads) {
     auto base_cfg = bench::bench_platform(core::Scheme::kDfp);
     const double real = dfp_improvement(name, base_cfg, opts);
@@ -62,8 +70,20 @@ int main(int argc, char** argv) {
     tbl.add_row({name, TextTable::pct(real), TextTable::pct(par),
                  TextTable::pct(flush), TextTable::pct(ff),
                  TextTable::pct(nodis), TextTable::pct(fwd)});
+
+    std::vector<std::string> row = {name};
+    for (const double c : contentions) {
+      auto contended = base_cfg;
+      contended.channel_contention = c;
+      const double gain = dfp_improvement(name, contended, opts);
+      row.push_back(TextTable::pct(gain));
+      bench::add_scalar("contention_" + TextTable::fmt(c) + "." + name,
+                        gain);
+    }
+    contention_tbl.add_row(std::move(row));
   }
   bench::print_table("results", tbl);
+  bench::print_table("contention", contention_tbl);
   std::cout
       << "\nReading: an idealized parallel channel lifts the regular "
          "workloads far beyond what the real\nserialized, non-preemptible "
@@ -71,6 +91,10 @@ int main(int argc, char** argv) {
          "priority, nothing flushed) is the worst case on irregular "
          "workloads: mispredicted batches sit\nin front of every demand "
          "fault. Flushing on every fault (flush-all) over-cancels useful\n"
-         "preloads on regular workloads.\n";
+         "preloads on regular workloads.\nContention: the fraction of "
+         "overlapped page-copy time added to enclave compute. It trims\n"
+         "lbm's gain only a few points even at 1.0, so memory-bandwidth "
+         "contention does not explain\nlbm overshooting the paper's "
+         "+13.3% (see EXPERIMENTS.md).\n";
   return bench::finish();
 }

@@ -1,7 +1,7 @@
 #include "core/multi_enclave.h"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "core/per_enclave_policy.h"
@@ -13,57 +13,52 @@
 
 namespace sgxpl::core {
 
-namespace {
-
-struct AppState {
-  std::size_t cursor = 0;
-  Cycles now = 0;
-  bool done = false;
-  /// Clock frozen for a migration stop-and-copy. Control-plane state only:
-  /// never serialized (a carved tenant resumes unpaused on its destination,
-  /// and the frozen host frame format cannot grow a field).
-  bool paused = false;
-  Metrics metrics;
-};
-
-}  // namespace
-
 struct MultiEnclaveRun::Impl {
   Impl(const SimConfig& config, const std::vector<EnclaveApp>& the_apps)
       : cfg(config), apps(the_apps) {
     SGXPL_CHECK_MSG(!apps.empty(), "no enclaves to run");
 
-    // Lay the enclaves out at disjoint offsets in the combined space.
-    offset.resize(apps.size());
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-      SGXPL_CHECK(apps[i].trace != nullptr && !apps[i].trace->empty());
-      offset[i] = combined_pages;
-      combined_pages += apps[i].trace->elrange_pages();
-    }
-
-    // Per-enclave scheme state.
+    // Lay the enclaves out at disjoint offsets in the combined space, each
+    // with its own scheme state.
     std::vector<PerEnclavePolicy::Slot> slots;
     slots.reserve(apps.size());
+    tenants.resize(apps.size());
     for (std::size_t i = 0; i < apps.size(); ++i) {
-      const Scheme scheme = apps[i].scheme;
-      PerEnclavePolicy::Slot slot;
-      slot.lo = offset[i];
-      slot.hi = offset[i] + apps[i].trace->elrange_pages();
-      slot.engine = make_dfp_engine(scheme, cfg.dfp);
-      if (uses_sip(scheme)) {
-        SGXPL_CHECK_MSG(apps[i].plan != nullptr,
+      const EnclaveApp& app = apps[i];
+      SGXPL_CHECK(app.trace != nullptr && !app.trace->empty());
+      if (uses_sip(app.scheme)) {
+        SGXPL_CHECK_MSG(app.plan != nullptr,
                         "SIP scheme needs a plan (enclave " << i << ")");
+        if (!app.plan->empty()) {
+          tenants[i].plan = app.plan;
+        }
       }
+      tenants[i].trace = app.trace;
+      tenants[i].offset = combined_pages;
+      tenants[i].pid = static_cast<ProcessId>(i);
+      combined_pages += app.trace->elrange_pages();
+      PerEnclavePolicy::Slot slot;
+      slot.lo = tenants[i].offset;
+      slot.hi = combined_pages;
+      slot.engine = make_dfp_engine(app.scheme, cfg.dfp);
       slots.push_back(std::move(slot));
     }
     policy = std::make_unique<PerEnclavePolicy>(std::move(slots));
-    state.resize(apps.size());
+  }
+
+  const Tenant& at(std::size_t enclave) const {
+    SGXPL_CHECK_MSG(enclave < tenants.size(),
+                    "no enclave " << enclave << " in this co-run");
+    return tenants[enclave];
+  }
+  Tenant& at(std::size_t enclave) {
+    return const_cast<Tenant&>(std::as_const(*this).at(enclave));
   }
 
   std::uint64_t steps() const noexcept {
     std::uint64_t sum = 0;
-    for (const auto& st : state) {
-      sum += st.cursor;
+    for (const Tenant& t : tenants) {
+      sum += t.cursor;
     }
     return sum;
   }
@@ -80,7 +75,7 @@ struct MultiEnclaveRun::Impl {
       w.str("enc.trace", apps[i].trace->name());
       w.boolean("enc.has_dfp", has_dfp);
       w.end_section();
-      const AppState& st = state[i];
+      const Tenant& st = tenants[i];
       w.begin_section("APPS");
       w.u64("app.cursor", st.cursor);
       w.u64("app.now", st.now);
@@ -118,7 +113,7 @@ struct MultiEnclaveRun::Impl {
                           << " a DFP engine but this run "
                           << (has_dfp ? "lacks" : "carries") << " one");
       r.leave_section();
-      AppState& st = state[i];
+      Tenant& st = tenants[i];
       r.enter_section("APPS");
       st.cursor = r.u64("app.cursor");
       SGXPL_CHECK_MSG(st.cursor <= apps[i].trace->size(),
@@ -128,12 +123,15 @@ struct MultiEnclaveRun::Impl {
                                          << " accesses");
       st.now = r.u64("app.now");
       st.done = r.boolean("app.done");
+      SGXPL_CHECK_MSG(st.done || st.cursor < apps[i].trace->size(),
+                      "snapshot enclave " << i << " consumed its trace but "
+                                             "is not marked done");
       st.metrics.load(r);
       r.leave_section();
       if (has_dfp) {
         r.enter_section("DFPE");
         policy->mutable_engine(i)->load(
-            r, offset[i] + apps[i].trace->elrange_pages());
+            r, st.offset + apps[i].trace->elrange_pages());
         r.leave_section();
       }
     }
@@ -141,10 +139,9 @@ struct MultiEnclaveRun::Impl {
 
   SimConfig cfg;
   std::vector<EnclaveApp> apps;
-  std::vector<PageNum> offset;
   PageNum combined_pages = 0;
   std::unique_ptr<PerEnclavePolicy> policy;
-  std::vector<AppState> state;
+  std::vector<Tenant> tenants;
 };
 
 MultiEnclaveRun::MultiEnclaveRun(const SimConfig& config,
@@ -162,7 +159,8 @@ MultiEnclaveRun::MultiEnclaveRun(const SimConfig& config,
     std::vector<std::pair<PageNum, PageNum>> geometry;
     geometry.reserve(apps.size());
     for (std::size_t i = 0; i < apps.size(); ++i) {
-      geometry.emplace_back(im.offset[i], apps[i].trace->elrange_pages());
+      geometry.emplace_back(im.tenants[i].offset,
+                            apps[i].trace->elrange_pages());
     }
     driver_->set_elastic_geometry(geometry);
   }
@@ -182,8 +180,8 @@ MultiEnclaveRun::MultiEnclaveRun(const SimConfig& config,
 MultiEnclaveRun::~MultiEnclaveRun() = default;
 
 bool MultiEnclaveRun::done() const noexcept {
-  for (const auto& st : impl_->state) {
-    if (!st.done) {
+  for (const Tenant& t : impl_->tenants) {
+    if (!t.done) {
       return false;
     }
   }
@@ -198,52 +196,18 @@ void MultiEnclaveRun::step() {
   Impl& im = *impl_;
   // Co-simulation: each enclave has its own clock and cursor; always step
   // the one furthest behind.
-  std::size_t next = im.apps.size();
-  Cycles min_clock = std::numeric_limits<Cycles>::max();
-  for (std::size_t i = 0; i < im.apps.size(); ++i) {
-    if (!im.state[i].done && !im.state[i].paused &&
-        im.state[i].now < min_clock) {
-      min_clock = im.state[i].now;
-      next = i;
+  Tenant* next = nullptr;
+  for (Tenant& t : im.tenants) {
+    if (!t.done && !t.paused && (next == nullptr || t.now < next->now)) {
+      next = &t;
     }
   }
-  SGXPL_CHECK_MSG(next != im.apps.size(),
+  SGXPL_CHECK_MSG(next != nullptr,
                   "stepping a finished (or fully paused) multi-enclave run");
-
-  AppState& st = im.state[next];
-  const EnclaveApp& app = im.apps[next];
-  const auto& a = app.trace->accesses()[st.cursor];
-  const PageNum page = im.offset[next] + a.page;
-
-  obs::ScopedSpan step_span(im.cfg.profiler, obs::Phase::kStep);
-  const Cycles step_start = st.now;
-  st.now += a.gap;
-  st.metrics.compute_cycles += a.gap;
-  ++st.metrics.accesses;
-
-  if (uses_sip(app.scheme) && app.plan->instrumented(a.site)) {
-    st.now += im.cfg.costs.bitmap_check;
-    st.metrics.sip_check_cycles += im.cfg.costs.bitmap_check;
-    ++st.metrics.sip_checks;
-    if (!driver_->bitmap().test(page)) {
-      const Cycles loaded = driver_->sip_load(page, st.now);
-      st.now = loaded + im.cfg.costs.sip_notification;
-      st.metrics.sip_notification_cycles += im.cfg.costs.sip_notification;
-      ++st.metrics.sip_requests;
-    }
-  }
-
-  const auto outcome = driver_->access(
-      page, st.now, ProcessId{static_cast<std::uint32_t>(next)});
-  st.now = outcome.completion;
-  if (outcome.faulted) {
-    ++st.metrics.enclave_faults;
-  }
-  step_span.add_cycles(st.now - step_start);
-
-  if (++st.cursor >= app.trace->size()) {
-    st.done = true;
-    st.metrics.total_cycles = st.now;
+  step_tenant(*next, im.cfg);
+  if (next->cursor >= next->trace->size()) {
+    next->done = true;
+    next->metrics.total_cycles = next->now;
   }
 }
 
@@ -253,10 +217,11 @@ MultiEnclaveResult MultiEnclaveRun::finish() {
   SGXPL_CHECK_MSG(!finished_, "finish() called twice");
   finished_ = true;
 
-  // A hardened run may still hold lost ops awaiting their retry deadlines;
-  // settle them so shed/retry/permanent counters are final. The default
-  // (non-hardened) path skips this and finishes exactly as before.
-  if (im.cfg.enclave.channel.max_retries > 0) {
+  // Settle the channel and sweep the invariants as a solo run does under
+  // `validate`; a hardened run always settles, since it may still hold lost
+  // ops awaiting their retry deadlines (shed/retry/permanent counters must
+  // be final).
+  if (im.cfg.validate || im.cfg.enclave.channel.max_retries > 0) {
     driver_->drain();
     driver_->check_invariants();
   }
@@ -265,7 +230,7 @@ MultiEnclaveResult MultiEnclaveRun::finish() {
   result.per_enclave.reserve(im.apps.size());
   result.degrade_levels.reserve(im.apps.size());
   for (std::size_t i = 0; i < im.apps.size(); ++i) {
-    Metrics m = im.state[i].metrics;
+    Metrics m = im.tenants[i].metrics;
     if (const auto* engine = im.policy->engine(i)) {
       fill_dfp_counters(m, *engine);
     }
@@ -348,49 +313,36 @@ std::size_t MultiEnclaveRun::enclave_count() const noexcept {
 }
 
 Metrics MultiEnclaveRun::tenant_metrics(std::size_t enclave) const {
-  SGXPL_CHECK_MSG(enclave < impl_->state.size(),
-                  "no enclave " << enclave << " in this co-run");
-  return impl_->state[enclave].metrics;
+  return impl_->at(enclave).metrics;
 }
 
 std::uint64_t MultiEnclaveRun::tenant_cursor(std::size_t enclave) const {
-  SGXPL_CHECK_MSG(enclave < impl_->state.size(),
-                  "no enclave " << enclave << " in this co-run");
-  return impl_->state[enclave].cursor;
+  return impl_->at(enclave).cursor;
 }
 
 Cycles MultiEnclaveRun::tenant_clock(std::size_t enclave) const {
-  SGXPL_CHECK_MSG(enclave < impl_->state.size(),
-                  "no enclave " << enclave << " in this co-run");
-  return impl_->state[enclave].now;
+  return impl_->at(enclave).now;
 }
 
 snapshot::TenantGeometry MultiEnclaveRun::tenant_geometry(
     std::size_t enclave) const {
-  const Impl& im = *impl_;
-  SGXPL_CHECK_MSG(enclave < im.apps.size(),
-                  "no enclave " << enclave << " in this co-run");
-  return snapshot::TenantGeometry{
-      .lo = im.offset[enclave],
-      .pages = im.apps[enclave].trace->elrange_pages(),
-      .trace_accesses = im.apps[enclave].trace->size()};
+  const Tenant& t = impl_->at(enclave);
+  return snapshot::TenantGeometry{.lo = t.offset,
+                                  .pages = t.trace->elrange_pages(),
+                                  .trace_accesses = t.trace->size()};
 }
 
 void MultiEnclaveRun::set_tenant_paused(std::size_t enclave, bool paused) {
-  SGXPL_CHECK_MSG(enclave < impl_->state.size(),
-                  "no enclave " << enclave << " in this co-run");
-  impl_->state[enclave].paused = paused;
+  impl_->at(enclave).paused = paused;
 }
 
 bool MultiEnclaveRun::tenant_paused(std::size_t enclave) const {
-  SGXPL_CHECK_MSG(enclave < impl_->state.size(),
-                  "no enclave " << enclave << " in this co-run");
-  return impl_->state[enclave].paused;
+  return impl_->at(enclave).paused;
 }
 
 bool MultiEnclaveRun::steppable() const noexcept {
-  for (const auto& st : impl_->state) {
-    if (!st.done && !st.paused) {
+  for (const Tenant& t : impl_->tenants) {
+    if (!t.done && !t.paused) {
       return true;
     }
   }
@@ -398,28 +350,21 @@ bool MultiEnclaveRun::steppable() const noexcept {
 }
 
 void MultiEnclaveRun::begin_tenant_drain(std::size_t enclave) {
-  SGXPL_CHECK_MSG(enclave < impl_->state.size(),
-                  "no enclave " << enclave << " in this co-run");
-  driver_->begin_drain(ProcessId{static_cast<std::uint32_t>(enclave)});
+  driver_->begin_drain(impl_->at(enclave).pid);
 }
 
 void MultiEnclaveRun::end_tenant_drain(std::size_t enclave) {
-  SGXPL_CHECK_MSG(enclave < impl_->state.size(),
-                  "no enclave " << enclave << " in this co-run");
-  driver_->end_drain(ProcessId{static_cast<std::uint32_t>(enclave)});
+  driver_->end_drain(impl_->at(enclave).pid);
 }
 
 void MultiEnclaveRun::retire_tenant(std::size_t enclave) {
-  Impl& im = *impl_;
-  SGXPL_CHECK_MSG(enclave < im.state.size(),
-                  "no enclave " << enclave << " in this co-run");
-  AppState& st = im.state[enclave];
-  SGXPL_CHECK_MSG(st.paused,
+  Tenant& t = impl_->at(enclave);
+  SGXPL_CHECK_MSG(t.paused,
                   "retire_tenant() requires the tenant to be paused (the "
                   "stop-and-copy must have frozen its clock)");
-  if (!st.done) {
-    st.done = true;
-    st.metrics.total_cycles = st.now;
+  if (!t.done) {
+    t.done = true;
+    t.metrics.total_cycles = t.now;
   }
 }
 

@@ -12,6 +12,9 @@
 // space and each enclave running its own DFP engine (keyed by ProcessId).
 // The scheduler always steps the enclave with the smallest virtual clock,
 // bounding cross-enclave causality skew to a single fault-handling span.
+// Each enclave is a core::Tenant replayed by RunLifecycle::step_tenant, the
+// step a solo SimulationRun takes: SIP lookahead, channel contention and
+// chaos on the SIP bitmap read act on a tenant exactly as they do solo.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,12 @@
 #include "core/run_lifecycle.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/check.h"
 #include "core/multi_enclave.h"
 #include "core/simulator.h"
+#include "sgxsim/driver.h"
 #include "snapshot/chain.h"
 #include "snapshot/codec.h"
 
@@ -180,6 +182,91 @@ void RunLifecycle::fill_dfp_counters(Metrics& m,
   m.dfp_acc_preload_counter = engine.preloaded_pages().acc_preload_counter();
   m.dfp_predictor_hits = engine.predictor().hits();
   m.dfp_predictor_misses = engine.predictor().misses();
+}
+
+void RunLifecycle::step_tenant(Tenant& t, const SimConfig& cfg) {
+  const auto& accesses = t.trace->accesses();
+  const std::uint32_t lookahead = cfg.sip_lookahead;
+  // Hoisted mode: the check+notify for an instrumented access runs
+  // `lookahead` accesses early and only posts the load.
+  const auto hoist = [&](const trace::Access& target) {
+    if (!t.plan->instrumented(target.site)) {
+      return;
+    }
+    obs::ScopedSpan span(cfg.profiler, obs::Phase::kSipCheck);
+    const Cycles before = t.now;
+    t.now += cfg.costs.bitmap_check;
+    t.metrics.sip_check_cycles += cfg.costs.bitmap_check;
+    ++t.metrics.sip_checks;
+    const PageNum page = t.offset + target.page;
+    if (!driver_->sip_bitmap_check(page, t.now)) {
+      t.now += cfg.costs.sip_notification;
+      t.metrics.sip_notification_cycles += cfg.costs.sip_notification;
+      ++t.metrics.sip_requests;
+      driver_->sip_prefetch(page, t.now, t.pid);
+    }
+    span.add_cycles(t.now - before);
+  };
+  if (t.cursor == 0 && t.plan != nullptr && lookahead > 0) {
+    // Issue the first lookahead window up front (the compiler hoists these
+    // checks to the enclave's entry).
+    const auto prefix = std::min<std::size_t>(lookahead, accesses.size());
+    for (std::size_t j = 0; j < prefix; ++j) {
+      hoist(accesses[j]);
+    }
+  }
+
+  obs::ScopedSpan step_span(cfg.profiler, obs::Phase::kStep);
+  const Cycles step_start = t.now;
+  const auto& a = accesses[t.cursor];
+  const PageNum page = t.offset + a.page;
+  ++t.metrics.accesses;
+
+  Cycles gap = a.gap;
+  if (cfg.channel_contention > 0.0 && gap > 0) {
+    // Enclave compute overlapping page copies runs slower: inflate the
+    // gap by the contention share of the overlapped busy time. One
+    // fixpoint step is enough at realistic factors.
+    const Cycles busy = driver_->channel().busy_overlap(t.now, t.now + gap);
+    if (busy > 0) {
+      const auto extra = static_cast<Cycles>(static_cast<double>(busy) *
+                                             cfg.channel_contention);
+      gap += extra;
+      t.metrics.contention_cycles += extra;
+    }
+  }
+  t.now += gap;
+  t.metrics.compute_cycles += gap;
+
+  if (t.plan != nullptr) {
+    if (lookahead == 0) {
+      if (t.plan->instrumented(a.site)) {
+        // Conservative mode: BIT_MAP_CHECK right before the access, then
+        // a blocking page_loadin_function on a miss.
+        obs::ScopedSpan sip_span(cfg.profiler, obs::Phase::kSipCheck);
+        const Cycles before = t.now;
+        t.now += cfg.costs.bitmap_check;
+        t.metrics.sip_check_cycles += cfg.costs.bitmap_check;
+        ++t.metrics.sip_checks;
+        if (!driver_->sip_bitmap_check(page, t.now)) {
+          t.now = driver_->sip_load(page, t.now) + cfg.costs.sip_notification;
+          t.metrics.sip_notification_cycles += cfg.costs.sip_notification;
+          ++t.metrics.sip_requests;
+        }
+        sip_span.add_cycles(t.now - before);
+      }
+    } else if (t.cursor + lookahead < accesses.size()) {
+      hoist(accesses[t.cursor + lookahead]);
+    }
+  }
+
+  const auto outcome = driver_->access(page, t.now, t.pid);
+  t.now = outcome.completion;
+  if (outcome.faulted) {
+    ++t.metrics.enclave_faults;
+  }
+  step_span.add_cycles(t.now - step_start);
+  ++t.cursor;
 }
 
 namespace {

@@ -1,16 +1,17 @@
 // The run lifecycle both replay engines share: the stack assembled around
-// the shared driver, the format-v2 checkpoint frame protocol, and the
-// resume-then-checkpoint file loop.
+// the shared driver, the one per-access tenant step, the format-v2
+// checkpoint frame protocol, and the resume-then-checkpoint file loop.
 //
 // SimulationRun (one enclave) and MultiEnclaveRun (tenants sharing one EPC)
-// derive from RunLifecycle and supply only their identity (meta()) and the
-// sections they write before and after the driver's. Every frame, full or
-// delta, is laid out the same way:
+// derive from RunLifecycle and supply only their identity (meta()), their
+// scheduling (which Tenant steps next) and the sections they write before
+// and after the driver's. Every frame, full or delta, is laid out the same
+// way:
 //
 //   CHNH  META  <engine head>  <driver sections>  <engine tail>  [INJC]
 //
-// The hooks are virtual because they run only at checkpoint and restore
-// time; step() stays in each engine and never goes through this class.
+// The section hooks are virtual because they run only at checkpoint and
+// restore time; step_tenant() is not, so the hot path has no virtual call.
 #pragma once
 
 #include <cstdint>
@@ -20,12 +21,32 @@
 #include "core/metrics.h"
 #include "core/scheme.h"
 #include "snapshot/fwd.h"
+#include "trace/access.h"
 
 namespace sgxpl::core {
 
 class SimulationRun;
 class MultiEnclaveRun;
 struct MultiEnclaveResult;
+
+/// One enclave's replay: its trace and SIP plan, where its ELRANGE sits in
+/// the driver's page space, and its cursor, clock and Metrics. A solo run
+/// holds one; a co-run holds one per enclave. Whether the hoisted SIP
+/// prefix ran is `cursor > 0` (traces are never empty).
+struct Tenant {
+  const trace::Trace* trace = nullptr;
+  /// Null unless the scheme runs SIP with a non-empty plan.
+  const sip::InstrumentationPlan* plan = nullptr;
+  PageNum offset = 0;
+  ProcessId pid = 0;
+  std::uint64_t cursor = 0;
+  Cycles now = 0;
+  Metrics metrics;
+  /// Co-run control state: finished (trace consumed or retired) and frozen
+  /// for a migration stop-and-copy. `paused` is never serialized.
+  bool done = false;
+  bool paused = false;
+};
 
 class RunLifecycle {
  public:
@@ -87,6 +108,12 @@ class RunLifecycle {
       Scheme scheme, dfp::DfpParams params);
   /// Copy `engine`'s end-of-run counters into `m`.
   static void fill_dfp_counters(Metrics& m, const dfp::DfpEngine& engine);
+
+  /// Replay `t`'s next access on the shared driver: the hoisted SIP prefix
+  /// at cursor 0, the compute gap (inflated by channel contention), the SIP
+  /// check (conservative, or hoisted `sip_lookahead` accesses ahead), then
+  /// the access itself. Requires `t.cursor < t.trace->size()`.
+  void step_tenant(Tenant& t, const SimConfig& cfg);
 
   /// The engine's own sections, written before and after the driver's and
   /// read back in the same order by full and delta frames alike.

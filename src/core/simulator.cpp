@@ -1,6 +1,5 @@
 #include "core/simulator.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -12,7 +11,7 @@ namespace sgxpl::core {
 
 SimulationRun::SimulationRun(const SimConfig& config, const trace::Trace& t,
                              const sip::InstrumentationPlan* plan)
-    : cfg_(config), trace_(&t), plan_(plan) {
+    : cfg_(config) {
   SGXPL_CHECK_MSG(!t.empty(), "empty trace");
   SGXPL_CHECK_MSG(cfg_.scheme != Scheme::kNative,
                   "the native scheme has no paging state to step; use "
@@ -38,151 +37,62 @@ SimulationRun::SimulationRun(const SimConfig& config, const trace::Trace& t,
     }
   }
 
-  sip_on_ = cfg_.uses_sip() && plan_ != nullptr && !plan_->empty();
+  tenant_.trace = &t;
+  if (cfg_.uses_sip() && !plan->empty()) {
+    tenant_.plan = plan;
+  }
 }
 
 SimulationRun::~SimulationRun() = default;
 
 bool SimulationRun::done() const noexcept {
-  return cursor_ >= trace_->size();
-}
-
-void SimulationRun::hoist(std::size_t idx) {
-  // Hoisted mode: the check+notify for each instrumented access runs
-  // `sip_lookahead` accesses early.
-  const auto& target = trace_->accesses()[idx];
-  if (!plan_->instrumented(target.site)) {
-    return;
-  }
-  obs::ScopedSpan span(cfg_.profiler, obs::Phase::kSipCheck);
-  const Cycles before = now_;
-  now_ += cfg_.costs.bitmap_check;
-  m_.sip_check_cycles += cfg_.costs.bitmap_check;
-  ++m_.sip_checks;
-  if (!driver_->sip_bitmap_check(target.page, now_)) {
-    now_ += cfg_.costs.sip_notification;
-    m_.sip_notification_cycles += cfg_.costs.sip_notification;
-    ++m_.sip_requests;
-    driver_->sip_prefetch(target.page, now_);
-  }
-  span.add_cycles(now_ - before);
-}
-
-void SimulationRun::ensure_started() {
-  if (started_) {
-    return;
-  }
-  started_ = true;
-  // Issue the first lookahead window up front (the compiler hoists these
-  // checks to the enclave's entry).
-  if (sip_on_ && cfg_.sip_lookahead > 0) {
-    const auto prefix = std::min<std::size_t>(cfg_.sip_lookahead,
-                                              trace_->size());
-    for (std::size_t j = 0; j < prefix; ++j) {
-      hoist(j);
-    }
-  }
+  return tenant_.cursor >= tenant_.trace->size();
 }
 
 void SimulationRun::step() {
   SGXPL_CHECK_MSG(!done(), "stepping past the end of the trace");
-  ensure_started();
-
-  obs::ScopedSpan step_span(cfg_.profiler, obs::Phase::kStep);
-  const Cycles step_start = now_;
-  const auto& accesses = trace_->accesses();
-  const std::size_t i = cursor_;
-  const auto& a = accesses[i];
-  ++m_.accesses;
-
-  Cycles gap = a.gap;
-  if (cfg_.channel_contention > 0.0 && gap > 0) {
-    // Enclave compute overlapping page copies runs slower: inflate the
-    // gap by the contention share of the overlapped busy time. One
-    // fixpoint step is enough at realistic factors.
-    const Cycles busy = driver_->channel().busy_overlap(now_, now_ + gap);
-    if (busy > 0) {
-      const auto extra = static_cast<Cycles>(static_cast<double>(busy) *
-                                             cfg_.channel_contention);
-      gap += extra;
-      m_.contention_cycles += extra;
-    }
-  }
-  now_ += gap;
-  m_.compute_cycles += gap;
-
-  if (sip_on_) {
-    const std::uint32_t lookahead = cfg_.sip_lookahead;
-    if (lookahead == 0) {
-      if (plan_->instrumented(a.site)) {
-        // Conservative mode: BIT_MAP_CHECK right before the access, then
-        // a blocking page_loadin_function on a miss.
-        obs::ScopedSpan sip_span(cfg_.profiler, obs::Phase::kSipCheck);
-        const Cycles before = now_;
-        now_ += cfg_.costs.bitmap_check;
-        m_.sip_check_cycles += cfg_.costs.bitmap_check;
-        ++m_.sip_checks;
-        if (!driver_->sip_bitmap_check(a.page, now_)) {
-          const Cycles loaded = driver_->sip_load(a.page, now_);
-          now_ = loaded + cfg_.costs.sip_notification;
-          m_.sip_notification_cycles += cfg_.costs.sip_notification;
-          ++m_.sip_requests;
-        }
-        sip_span.add_cycles(now_ - before);
-      }
-    } else if (i + lookahead < accesses.size()) {
-      hoist(i + lookahead);
-    }
-  }
-
-  const auto outcome = driver_->access(a.page, now_);
-  now_ = outcome.completion;
-  if (outcome.faulted) {
-    ++m_.enclave_faults;
-  }
-  step_span.add_cycles(now_ - step_start);
-  ++cursor_;
+  step_tenant(tenant_, cfg_);
 }
 
 Metrics SimulationRun::finish() {
   SGXPL_CHECK_MSG(done(), "finishing an unfinished run");
   SGXPL_CHECK_MSG(!finished_, "finish() called twice");
   finished_ = true;
-  ensure_started();  // a zero-step finish still runs the hoisted prefix
 
-  m_.total_cycles = now_;
+  Metrics& m = tenant_.metrics;
+  m.total_cycles = tenant_.now;
   if (cfg_.validate) {
     driver_->drain();
     driver_->check_invariants();
   }
-  m_.driver = driver_->stats();
+  m.driver = driver_->stats();
   if (injector_ != nullptr) {
-    m_.inject = injector_->stats();
+    m.inject = injector_->stats();
   }
   if (engine_ != nullptr) {
-    fill_dfp_counters(m_, *engine_);
+    fill_dfp_counters(m, *engine_);
   }
   if (cfg_.registry != nullptr) {
     auto& reg = *cfg_.registry;
-    m_.driver.publish(reg);
+    m.driver.publish(reg);
     if (engine_ != nullptr) {
       engine_->publish(reg);
     }
     if (injector_ != nullptr) {
-      m_.inject.publish(reg);
+      m.inject.publish(reg);
     }
     reg.counter("sim.runs").add();
-    reg.counter("sim.total_cycles").add(m_.total_cycles);
-    reg.counter("sim.compute_cycles").add(m_.compute_cycles);
-    reg.counter("sim.contention_cycles").add(m_.contention_cycles);
-    if (sip_on_) {
-      reg.counter("sip.checks").add(m_.sip_checks);
-      reg.counter("sip.requests").add(m_.sip_requests);
-      reg.counter("sip.check_cycles").add(m_.sip_check_cycles);
-      reg.counter("sip.notification_cycles").add(m_.sip_notification_cycles);
+    reg.counter("sim.total_cycles").add(m.total_cycles);
+    reg.counter("sim.compute_cycles").add(m.compute_cycles);
+    reg.counter("sim.contention_cycles").add(m.contention_cycles);
+    if (tenant_.plan != nullptr) {
+      reg.counter("sip.checks").add(m.sip_checks);
+      reg.counter("sip.requests").add(m.sip_requests);
+      reg.counter("sip.check_cycles").add(m.sip_check_cycles);
+      reg.counter("sip.notification_cycles").add(m.sip_notification_cycles);
     }
   }
-  return m_;
+  return m;
 }
 
 Metrics SimulationRun::run_to_end() {
@@ -196,35 +106,40 @@ snapshot::RunMeta SimulationRun::meta() const {
   snapshot::RunMeta meta;
   meta.kind = "enclave-sim";
   meta.scheme = to_string(cfg_.scheme);
-  meta.trace_name = trace_->name();
-  meta.trace_accesses = trace_->size();
+  meta.trace_name = tenant_.trace->name();
+  meta.trace_accesses = tenant_.trace->size();
   meta.elrange_pages = cfg_.enclave.elrange_pages;
   meta.epc_pages = cfg_.enclave.epc_pages;
   meta.chaos_spec = cfg_.chaos.any_enabled() ? cfg_.chaos.spec() : "";
   meta.chaos_seed = cfg_.chaos.seed;
   meta.hardening_spec = sgxsim::overload_spec(cfg_.enclave);
-  meta.cursor = cursor_;
+  meta.cursor = tenant_.cursor;
   return meta;
 }
 
 void SimulationRun::save_head(snapshot::Writer& w) const {
   w.begin_section("RUNS");
-  w.boolean("run.started", started_);
-  w.u64("run.cursor", cursor_);
-  w.u64("run.now", now_);
-  m_.save(w);
+  w.boolean("run.started", tenant_.cursor > 0);
+  w.u64("run.cursor", tenant_.cursor);
+  w.u64("run.now", tenant_.now);
+  tenant_.metrics.save(w);
   w.end_section();
 }
 
 void SimulationRun::load_head(snapshot::Reader& r) {
   r.enter_section("RUNS");
-  started_ = r.boolean("run.started");
-  cursor_ = r.u64("run.cursor");
-  SGXPL_CHECK_MSG(cursor_ <= trace_->size(),
-                  "snapshot cursor " << cursor_ << " exceeds the trace's "
-                                     << trace_->size() << " accesses");
-  now_ = r.u64("run.now");
-  m_.load(r);
+  const bool started = r.boolean("run.started");
+  const std::uint64_t cursor = r.u64("run.cursor");
+  SGXPL_CHECK_MSG(cursor <= tenant_.trace->size(),
+                  "snapshot cursor " << cursor << " exceeds the trace's "
+                                     << tenant_.trace->size() << " accesses");
+  SGXPL_CHECK_MSG(started == (cursor > 0),
+                  "snapshot says the run " << (started ? "has" : "has not")
+                                           << " started but its cursor is "
+                                           << cursor);
+  tenant_.cursor = cursor;
+  tenant_.now = r.u64("run.now");
+  tenant_.metrics.load(r);
   r.leave_section();
 }
 

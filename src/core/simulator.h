@@ -6,10 +6,13 @@
 // while page copies are in flight), then goes through:
 //   - the SIP path when the scheme instruments the access's site:
 //     BIT_MAP_CHECK against the shared presence bitmap, and on a miss a
-//     synchronous page_loadin request (no AEX/ERESUME);
+//     synchronous page_loadin request (no AEX/ERESUME), or, with a SIP
+//     lookahead, the same check+notify posted that many accesses early;
 //   - the regular access path in the driver: residency hit, or the full
 //     fault sequence (AEX -> demand load with CLOCK eviction -> DFP
 //     prediction -> ERESUME).
+// That per-access replay is RunLifecycle::step_tenant, the same step a
+// co-run tenant takes (core/multi_enclave.h); this run holds one Tenant.
 //
 // SimulationRun exposes the replay one access at a time, so a run can be
 // checkpointed at any access boundary and resumed bit-identically — the
@@ -54,8 +57,8 @@ class SimulationRun final : public RunLifecycle {
   /// aligned to. Requires !done().
   void step();
   /// Accesses completed so far.
-  std::uint64_t cursor() const noexcept { return cursor_; }
-  Cycles now() const noexcept { return now_; }
+  std::uint64_t cursor() const noexcept { return tenant_.cursor; }
+  Cycles now() const noexcept { return tenant_.now; }
 
   /// The underlying driver, read-only: harnesses sample its counters and
   /// run its invariant sweep between steps.
@@ -70,25 +73,14 @@ class SimulationRun final : public RunLifecycle {
   snapshot::RunMeta meta() const override;
 
  private:
-  void hoist(std::size_t idx);
-  void ensure_started();
   void save_head(snapshot::Writer& w) const override;
   void load_head(snapshot::Reader& r) override;
   void save_tail(snapshot::Writer& w) const override;
   void load_tail(snapshot::Reader& r) override;
 
   SimConfig cfg_;
-  const trace::Trace* trace_;
-  const sip::InstrumentationPlan* plan_;
-  bool sip_on_ = false;
   std::unique_ptr<dfp::DfpEngine> engine_;
-  Metrics m_;
-  Cycles now_ = 0;
-  std::uint64_t cursor_ = 0;
-  // Whether the pre-loop work ran (hoisted SIP prefix). Runs lazily at the
-  // first step so a restore never re-executes it; serialized so a snapshot
-  // taken at cursor 0 still resumes exactly.
-  bool started_ = false;
+  Tenant tenant_;
 };
 
 class EnclaveSimulator {

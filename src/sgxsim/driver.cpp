@@ -379,7 +379,7 @@ bool Driver::sip_bitmap_check(PageNum page, Cycles now) {
   return seen;
 }
 
-void Driver::sip_prefetch(PageNum page, Cycles now) {
+void Driver::sip_prefetch(PageNum page, Cycles now, ProcessId pid) {
   SGXPL_CHECK_MSG(page < config_.elrange_pages,
                   "sip_prefetch outside ELRANGE: page " << page);
   obs::ScopedSpan span(prof_, obs::Phase::kSipPrefetch);
@@ -387,7 +387,7 @@ void Driver::sip_prefetch(PageNum page, Cycles now) {
   if (page_table_.present(page) || channel_.find(page).has_value()) {
     return;
   }
-  if (draining(ProcessId{0})) {
+  if (draining(pid)) {
     // Prefetches are speculative; a draining tenant sheds them like any
     // other preload-class submission (see submit_preload).
     ++stats_.preloads_shed;
@@ -402,12 +402,12 @@ void Driver::sip_prefetch(PageNum page, Cycles now) {
   // queue rejects them like any other preload-class submission.
   if (channel_.bounded() || admission_active()) {
     AdmissionResult r = AdmissionResult::kAdmitted;
-    if (admission_active() && !tenant(ProcessId{0}).prefetches_allowed()) {
+    if (admission_active() && !tenant(pid).prefetches_allowed()) {
       r = AdmissionResult::kRejectedDegraded;
     } else if (channel_.full()) {
       r = AdmissionResult::kRejectedFull;
       if (admission_active()) {
-        tenant(ProcessId{0}).note_rejected();
+        tenant(pid).note_rejected();
       }
     }
     if (r != AdmissionResult::kAdmitted) {

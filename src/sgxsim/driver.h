@@ -193,8 +193,9 @@ class Driver {
   /// Fire-and-forget variant: post the load request and return immediately
   /// (the hoisted-notification mode of §3.2/Fig. 4 — issued early enough,
   /// the load overlaps the compute between notify and access). No-op if
-  /// the page is resident or already queued.
-  void sip_prefetch(PageNum page, Cycles now);
+  /// the page is resident or already queued. `pid` owns the request: its
+  /// drain and admission state decide whether the prefetch is shed.
+  void sip_prefetch(PageNum page, Cycles now, ProcessId pid = ProcessId{0});
 
   /// Advance bookkeeping to `now`: commit completed channel ops and run any
   /// due service-thread scans. access()/sip_load() call this themselves;

@@ -147,12 +147,17 @@ class Snapshotter {
 
 /// The META gate of every restore that skips a foreign snapshot instead of
 /// refusing it: true when the validated frame `bytes` was written by a run
-/// whose identity matches `run.meta()` (cursor excluded).
+/// whose identity matches `run.meta()` (cursor excluded). A foreign frame
+/// is integrity-probed before it is skipped: a section CRC failure anywhere
+/// in it throws CheckFailure, as it would for the run's own frame.
 template <class Run>
 bool belongs_to(const Run& run, const std::vector<std::uint8_t>& bytes) {
   Reader probe(bytes);
   (void)read_chain_header(probe);
-  return read_meta(probe).incompatibility(run.meta()).empty();
+  if (read_meta(probe).incompatibility(run.meta()).empty()) return true;
+  const FrameProbe p = probe_frame(bytes);
+  SGXPL_CHECK_MSG(p.ok, "foreign snapshot is corrupt: " << p.reason);
+  return false;
 }
 
 /// Restore `run` from a chain given as in-memory frames (base first).

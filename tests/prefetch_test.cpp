@@ -123,6 +123,21 @@ TEST(Prefetch, DemandFaultWaitsForInFlightPrefetch) {
   EXPECT_EQ(out.completion, 44'000u + 10'000u);
 }
 
+TEST(Prefetch, OnlyTheDrainingOwnerSheds) {
+  Driver d(small_enclave(), test_costs());
+  d.begin_drain(1);
+  d.sip_prefetch(5, 100, 1);
+  EXPECT_EQ(d.stats().preloads_shed, 1u);
+  EXPECT_FALSE(d.channel().find(5).has_value());
+  d.sip_prefetch(6, 100, 0);
+  d.sip_prefetch(7, 100);  // the default owner is pid 0
+  EXPECT_EQ(d.stats().sip_prefetches, 2u);
+  d.end_drain(1);
+  d.sip_prefetch(5, 200, 1);
+  EXPECT_EQ(d.stats().sip_prefetches, 3u);
+  EXPECT_EQ(d.stats().preloads_shed, 1u);
+}
+
 TEST(Prefetch, OutOfRangeThrows) {
   Driver d(small_enclave(16), test_costs());
   EXPECT_THROW(d.sip_prefetch(99, 0), CheckFailure);

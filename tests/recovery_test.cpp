@@ -596,12 +596,17 @@ TEST(KillRestore, CoRunForeignOrCorruptResumeFile) {
   resuming.checkpoint.resume_path = path;
   expect_same_corun(want, core::MultiEnclaveSimulator(resuming).run(apps),
                     "foreign snapshot must be skipped");
-  // Corruption is still an error for the run the file belongs to.
+  // Corruption past the META section is an error for the run the file
+  // belongs to, and for a foreign run, which probes the frame before
+  // skipping it.
   auto bytes = snapshot::read_file(path);
   bytes[bytes.size() / 2] ^= 0x10;
   snapshot::write_file_atomic(path, bytes);
   EXPECT_THROW(core::MultiEnclaveSimulator(resuming).run(swapped),
                CheckFailure);
+  EXPECT_THROW(core::MultiEnclaveSimulator(resuming).run(apps), CheckFailure);
+  core::MultiEnclaveRun foreign(cfg, apps);
+  EXPECT_THROW(foreign.restore_if_compatible(bytes), CheckFailure);
   std::remove(path.c_str());
 }
 

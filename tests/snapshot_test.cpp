@@ -825,6 +825,53 @@ TEST(BackingStoreFrames, FullFrameRefusesBadPagesAndVersions) {
                  "above the 32-bit version range");
 }
 
+TEST(RunFrames, ProgressFlagsMustAgreeWithTheCursor) {
+  // A solo frame's run.started is written as cursor > 0 and a co-run
+  // tenant that consumed its trace is marked done; a frame that says
+  // otherwise is refused, not replayed from a cursor it cannot resume.
+  const trace::Trace t = fuzz_trace();
+  const sip::InstrumentationPlan plan = fuzz_plan();
+  const auto solo_at = [&](std::uint64_t cut) {
+    core::SimulationRun run(fuzz_cfg(), t, &plan);
+    while (run.cursor() < cut) run.step();
+    return run.save_bytes();
+  };
+  const auto solo_load = [&](const std::vector<std::uint8_t>& bytes) {
+    return [&t, &plan, bytes] {
+      core::SimulationRun run(fuzz_cfg(), t, &plan);
+      run.load_bytes(bytes);
+    };
+  };
+  const auto set_started = [](bool v) {
+    return [v](std::vector<snapshot::FieldView>& f) {
+      field_of(f, "run.started").boolv = v;
+    };
+  };
+  EXPECT_NO_THROW(solo_load(solo_at(0))());
+  EXPECT_NO_THROW(solo_load(solo_at(7))());
+  expect_refusal(solo_load(edit_section(solo_at(0), "RUNS", set_started(true))),
+                 "has started but its cursor is 0");
+  expect_refusal(
+      solo_load(edit_section(solo_at(7), "RUNS", set_started(false))),
+      "has not started but its cursor is 7");
+
+  const std::vector<core::EnclaveApp> apps = {
+      {.trace = &t, .scheme = core::Scheme::kBaseline}};
+  core::MultiEnclaveRun co(fuzz_cfg(), apps);
+  while (!co.done()) co.step();
+  const auto unfinished =
+      edit_section(co.save_bytes(), "APPS",
+                   [](std::vector<snapshot::FieldView>& f) {
+                     field_of(f, "app.done").boolv = false;
+                   });
+  expect_refusal(
+      [&] {
+        core::MultiEnclaveRun fresh(fuzz_cfg(), apps);
+        fresh.load_bytes(unfinished);
+      },
+      "consumed its trace but is not marked done");
+}
+
 TEST(BackingStoreFrames, DeltaFrameRefusesBadPagesAndVersions) {
   const FuzzChain chain = make_fuzz_chain({40, 60});
   const trace::Trace t = fuzz_trace();
