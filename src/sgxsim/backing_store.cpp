@@ -13,14 +13,7 @@ constexpr std::uint64_t kMaxVersion = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
 BackingStore::BackingStore(PageNum elrange_pages)
-    : versions_(elrange_pages, 0), dirty_flag_(elrange_pages, false) {}
-
-void BackingStore::mark_dirty(PageNum page) {
-  if (!dirty_flag_[page]) {
-    dirty_flag_[page] = true;
-    dirty_list_.push_back(page);
-  }
-}
+    : versions_(elrange_pages, 0), dirty_(elrange_pages) {}
 
 std::uint64_t BackingStore::evict(PageNum page) {
   SGXPL_CHECK_MSG(page < versions_.size(),
@@ -33,7 +26,7 @@ std::uint64_t BackingStore::evict(PageNum page) {
   ++version;
   ++total_evictions_;
   ++gen_;
-  mark_dirty(page);
+  dirty_.mark(page);
   return version;
 }
 
@@ -59,7 +52,7 @@ void BackingStore::restore_slot(PageNum page, std::uint64_t version) {
                       << version << " for page " << page
                       << ", above the 32-bit version range");
   versions_[page] = static_cast<std::uint32_t>(version);
-  mark_dirty(page);
+  dirty_.mark(page);
 }
 
 void BackingStore::save(snapshot::Writer& w) const {
@@ -96,8 +89,7 @@ void BackingStore::load(snapshot::Reader& r) {
 void BackingStore::save_delta(snapshot::Writer& w) const {
   w.u64("backing.total_evictions", total_evictions_);
   w.u64("backing.total_loads", total_loads_);
-  std::vector<std::uint64_t> pages(dirty_list_.begin(), dirty_list_.end());
-  std::sort(pages.begin(), pages.end());
+  const std::vector<std::uint64_t> pages = dirty_.indices();
   std::vector<std::uint64_t> versions;
   versions.reserve(pages.size());
   for (const std::uint64_t page : pages) versions.push_back(versions_[page]);
@@ -122,9 +114,6 @@ void BackingStore::apply_delta(snapshot::Reader& r) {
   ++gen_;
 }
 
-void BackingStore::clear_dirty() {
-  for (const PageNum page : dirty_list_) dirty_flag_[page] = false;
-  dirty_list_.clear();
-}
+void BackingStore::clear_dirty() { dirty_.clear(); }
 
 }  // namespace sgxpl::sgxsim

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/dirty_set.h"
 #include "common/types.h"
 #include "snapshot/fwd.h"
 
@@ -50,7 +51,6 @@ class BackingStore {
   void clear_dirty();
 
  private:
-  void mark_dirty(PageNum page);
   /// Validate one (page, version) pair of a loaded frame and install it.
   void restore_slot(PageNum page, std::uint64_t version);
 
@@ -59,8 +59,7 @@ class BackingStore {
   std::uint64_t total_evictions_ = 0;
   mutable std::uint64_t total_loads_ = 0;
   mutable std::uint64_t gen_ = 0;
-  std::vector<PageNum> dirty_list_;
-  std::vector<bool> dirty_flag_;
+  DirtySet dirty_;
 };
 
 }  // namespace sgxpl::sgxsim

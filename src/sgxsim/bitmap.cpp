@@ -1,6 +1,5 @@
 #include "sgxsim/bitmap.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "snapshot/codec.h"
@@ -9,8 +8,14 @@ namespace sgxpl::sgxsim {
 
 PresenceBitmap::PresenceBitmap(PageNum pages)
     : pages_(pages), words_((pages + 63) / 64, 0),
-      dirty_flag_(words_.size(), false) {
+      dirty_(words_.size()) {
   SGXPL_CHECK(pages > 0);
+}
+
+void PresenceBitmap::mark_dirty(PageNum page) {
+  ++gen_;
+  dirty_.mark(page >> 6);
+  if (watch_ != nullptr) watch_->mark(page);
 }
 
 std::uint64_t PresenceBitmap::popcount() const noexcept {
@@ -35,18 +40,16 @@ void PresenceBitmap::load(snapshot::Reader& r) {
   SGXPL_CHECK_MSG(words.size() == words_.size(),
                   "snapshot bitmap word count does not match");
   words_ = std::move(words);
+  count_ = popcount();
   // Whole-bitmap load: treat every word as dirty until the next
   // clear_dirty() so a stale delta baseline cannot under-report changes.
   ++gen_;
-  dirty_list_.clear();
-  for (std::uint64_t i = 0; i < words_.size(); ++i) dirty_list_.push_back(i);
-  dirty_flag_.assign(words_.size(), true);
+  dirty_.mark_all();
 }
 
 void PresenceBitmap::save_delta(snapshot::Writer& w) const {
   w.u64("bitmap.pages", pages_);
-  std::vector<std::uint64_t> dirty = dirty_list_;
-  std::sort(dirty.begin(), dirty.end());
+  const std::vector<std::uint64_t> dirty = dirty_.indices();
   w.u64_vec("bitmap.delta_runs", snapshot::encode_runs(dirty));
   std::vector<std::uint64_t> values;
   values.reserve(dirty.size());
@@ -66,14 +69,14 @@ void PresenceBitmap::apply_delta(snapshot::Reader& r) {
                   "snapshot bitmap delta holds " << values.size()
                       << " words for " << ids.size() << " indices");
   for (std::size_t i = 0; i < ids.size(); ++i) {
+    count_ -= static_cast<std::uint64_t>(std::popcount(words_[ids[i]]));
+    count_ += static_cast<std::uint64_t>(std::popcount(values[i]));
     words_[ids[i]] = values[i];
-    mark_dirty(ids[i]);
+    ++gen_;
+    dirty_.mark(ids[i]);
   }
 }
 
-void PresenceBitmap::clear_dirty() {
-  for (const std::uint64_t i : dirty_list_) dirty_flag_[i] = false;
-  dirty_list_.clear();
-}
+void PresenceBitmap::clear_dirty() { dirty_.clear(); }
 
 }  // namespace sgxpl::sgxsim

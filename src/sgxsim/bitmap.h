@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/dirty_set.h"
 #include "common/types.h"
 #include "snapshot/fwd.h"
 
@@ -31,7 +32,8 @@ class PresenceBitmap {
     const std::uint64_t bit = 1ull << (page & 63);
     if ((words_[page >> 6] & bit) == 0) {
       words_[page >> 6] |= bit;
-      mark_dirty(page >> 6);
+      ++count_;
+      mark_dirty(page);
     }
   }
 
@@ -40,12 +42,21 @@ class PresenceBitmap {
     const std::uint64_t bit = 1ull << (page & 63);
     if ((words_[page >> 6] & bit) != 0) {
       words_[page >> 6] &= ~bit;
-      mark_dirty(page >> 6);
+      --count_;
+      mark_dirty(page);
     }
   }
 
-  /// Number of set bits (for invariant checks against the page table).
+  /// Number of set bits, recounted word by word (the watchdog's full sweep).
   std::uint64_t popcount() const noexcept;
+
+  /// Number of set bits, maintained by every write to the words: equal to
+  /// popcount() at all times, in O(1) (the watchdog's incremental check).
+  std::uint64_t count() const noexcept { return count_; }
+
+  /// Report every page whose bit set()/clear() flips into `changed` (not
+  /// owned; nullptr detaches).
+  void watch(DirtySet* changed) noexcept { watch_ = changed; }
 
   /// The packed bits, page p at bit (p & 63) of word p >> 6 (the layout of
   /// PageTable::present_words(), so the watchdog can compare them a word at
@@ -65,19 +76,15 @@ class PresenceBitmap {
   void clear_dirty();
 
  private:
-  void mark_dirty(std::uint64_t word) {
-    ++gen_;
-    if (!dirty_flag_[word]) {
-      dirty_flag_[word] = true;
-      dirty_list_.push_back(word);
-    }
-  }
+  void mark_dirty(PageNum page);
 
   PageNum pages_;
   std::vector<std::uint64_t> words_;
+  std::uint64_t count_ = 0;
   std::uint64_t gen_ = 0;
-  std::vector<std::uint64_t> dirty_list_;
-  std::vector<bool> dirty_flag_;
+  /// Word-indexed: the delta unit is a 64-bit word of the bitmap.
+  DirtySet dirty_;
+  DirtySet* watch_ = nullptr;
 };
 
 }  // namespace sgxpl::sgxsim

@@ -103,9 +103,15 @@ Driver::Driver(const EnclaveConfig& config, const CostModel& costs,
       next_scan_(costs.scan_period),
       retry_rng_(config.channel.retry_seed),
       // UINT64_MAX never collides with an op id (ids count up from 0).
-      completed_ring_(64, UINT64_MAX) {
+      completed_ring_(64, UINT64_MAX),
+      changed_(config.elrange_pages) {
   SGXPL_CHECK_MSG(config.elrange_pages > 0, "empty ELRANGE");
   SGXPL_CHECK_MSG(config.epc_pages > 0, "empty EPC");
+  if (config.watchdog_scan_interval > 0) {
+    page_table_.watch(&changed_);
+    epc_.watch(&changed_);
+    bitmap_.watch(&changed_);
+  }
 }
 
 void Driver::set_metrics(obs::MetricsRegistry* reg) noexcept {
@@ -506,7 +512,12 @@ void Driver::watchdog_tick(Cycles now) {
   }
   {
     obs::ScopedSpan span(prof_, obs::Phase::kWatchdog);
-    check_invariants();
+    if (stats_.watchdog_checks % kFullSweepEvery == 0) {
+      check_invariants();
+    } else {
+      check_changed();
+    }
+    changed_.clear();
   }
   ++stats_.watchdog_checks;
   if (log_ != nullptr) {
@@ -858,6 +869,10 @@ void Driver::set_elastic_geometry(
   }
   elastic_.finalize();
   elastic_engaged_ = true;
+  // The range clause now reads every page: re-prove them all.
+  if (config_.watchdog_scan_interval > 0) {
+    changed_.mark_all();
+  }
 }
 
 void Driver::elastic_rebalance(Cycles now) {
@@ -1088,29 +1103,74 @@ std::uint64_t count_bits(const std::vector<std::uint64_t>& words, PageNum lo,
 
 }  // namespace
 
-void Driver::check_invariants() const {
+PageNum Driver::tenant_end() const {
+  return elastic_engaged_ ? elastic_.hi(elastic_.tenant_count() - 1)
+                          : config_.elrange_pages;
+}
+
+void Driver::check_counts(std::uint64_t bitmap_count) const {
   SGXPL_CHECK_MSG(page_table_.resident_count() == epc_.used(),
                   "page table holds " << page_table_.resident_count()
                       << " resident pages but the EPC holds "
                       << epc_.used());
-  SGXPL_CHECK_MSG(bitmap_.popcount() == epc_.used(),
-                  "presence bitmap holds " << bitmap_.popcount()
+  SGXPL_CHECK_MSG(bitmap_count == epc_.used(),
+                  "presence bitmap holds " << bitmap_count
                       << " pages but the EPC holds " << epc_.used());
-  // Per page: present => it owns a slot holding it, its bitmap bit is set
-  // and (elastic EPC engaged) it lies in a tenant's range; absent => its
-  // bitmap bit is clear. Evaluated a 64-page word at a time: a word of
-  // pages all present and marked needs only the slot clause; otherwise
-  // only pages set in either bitset can fail, so exactly those are visited,
-  // in ascending order. A page failing the branch-free conjunction is
-  // re-checked clause by clause, which throws naming the first violated
-  // clause. No bitmap bit past ELRANGE is reached: by the popcount check
-  // above, some in-range present page would then lack its bit first.
+}
+
+void Driver::check_page(PageNum p, PageNum tenant_end) const {
+  const bool in_table = page_table_.present(p);
+  const bool in_bitmap = bitmap_.test(p);
+  if (!in_table && !in_bitmap) {
+    return;
+  }
+  SGXPL_CHECK_MSG(in_table, "page " << p
+                                    << " is in the presence bitmap but not "
+                                       "resident");
+  const SlotIndex slot = page_table_.entry(p).slot;
+  SGXPL_CHECK_MSG(slot != kInvalidSlot,
+                  "present page " << p << " has no EPC slot");
+  SGXPL_CHECK_MSG(epc_.page_at(slot) == p,
+                  "slot " << slot << " does not hold page " << p);
+  SGXPL_CHECK_MSG(in_bitmap, "present page "
+                                 << p
+                                 << " is missing from the presence bitmap");
+  SGXPL_CHECK_MSG(p < tenant_end,
+                  "page " << p << " outside every elastic tenant range");
+}
+
+void Driver::check_elastic() const {
+  if (!elastic_engaged_) {
+    return;
+  }
+  // Recounted word-parallel rather than maintained: a maintained per-tenant
+  // count would be the same note_mapped()/note_unmapped() bookkeeping this
+  // clause exists to check.
+  for (std::size_t t = 0; t < elastic_.tenant_count(); ++t) {
+    const std::uint64_t held = count_bits(page_table_.present_words(),
+                                          elastic_.lo(t), elastic_.hi(t));
+    SGXPL_CHECK_MSG(held == elastic_.resident(t),
+                    "elastic resident count for tenant "
+                        << t << " is " << elastic_.resident(t)
+                        << " but the page table holds " << held);
+  }
+  elastic_.check_conservation();
+}
+
+void Driver::check_invariants() const {
+  check_counts(bitmap_.popcount());
+  // Per page, check_page(): present => it owns a slot holding it, its
+  // bitmap bit is set and (elastic EPC engaged) it lies in a tenant's
+  // range; absent => its bitmap bit is clear. Swept a 64-page word at a
+  // time: a word of pages all present and marked needs only the slot
+  // clause; otherwise only pages set in either bitset can fail, so exactly
+  // those are visited, in ascending order. No bitmap bit past ELRANGE is
+  // reached: by the count check above, some in-range present page would
+  // then lack its bit first.
   const std::vector<std::uint64_t>& present_words =
       page_table_.present_words();
   const std::vector<std::uint64_t>& bitmap_words = bitmap_.words();
-  const PageNum tenant_end = elastic_engaged_
-                                 ? elastic_.hi(elastic_.tenant_count() - 1)
-                                 : config_.elrange_pages;
+  const PageNum end = tenant_end();
   const PageNum capacity = epc_.capacity();
   const auto slot_holds = [&](PageNum p) {
     const SlotIndex slot = page_table_.entry(p).slot;
@@ -1121,10 +1181,9 @@ void Driver::check_invariants() const {
   for (std::size_t w = 0; w < present_words.size(); ++w) {
     const std::uint64_t in_table = present_words[w];
     const std::uint64_t in_bitmap = bitmap_words[w];
-    const std::uint64_t marked = in_table & in_bitmap;
     const PageNum base = PageNum{w} << 6;
     present += static_cast<std::uint64_t>(std::popcount(in_table));
-    if (marked == ~0ull && base + 64 <= tenant_end) {
+    if ((in_table & in_bitmap) == ~0ull && base + 64 <= end) {
       bool ok = true;
       for (PageNum p = base; p < base + 64; ++p) {
         ok &= slot_holds(p);
@@ -1135,43 +1194,34 @@ void Driver::check_invariants() const {
     }
     for (std::uint64_t bits = in_table | in_bitmap; bits != 0;
          bits &= bits - 1) {
-      const int b = std::countr_zero(bits);
-      const PageNum p = base + static_cast<PageNum>(b);
-      const bool is_marked = ((marked >> b) & 1u) != 0;
-      if (is_marked & slot_holds(p) & (p < tenant_end)) {
-        continue;
-      }
-      SGXPL_CHECK_MSG((in_table >> b) & 1u,
-                      "page " << p
-                              << " is in the presence bitmap but not "
-                                 "resident");
-      const SlotIndex slot = page_table_.entry(p).slot;
-      SGXPL_CHECK_MSG(slot != kInvalidSlot,
-                      "present page " << p << " has no EPC slot");
-      SGXPL_CHECK_MSG(epc_.page_at(slot) == p,
-                      "slot " << slot << " does not hold page " << p);
-      SGXPL_CHECK_MSG((in_bitmap >> b) & 1u,
-                      "present page " << p
-                                      << " is missing from the presence "
-                                         "bitmap");
-      SGXPL_CHECK_MSG(p < tenant_end,
-                      "page " << p << " outside every elastic tenant range");
+      check_page(base + static_cast<PageNum>(std::countr_zero(bits)), end);
     }
   }
   SGXPL_CHECK_MSG(present == epc_.used(),
                   "page table marks " << present
                       << " pages present but the EPC holds " << epc_.used());
-  if (elastic_engaged_) {
-    for (std::size_t t = 0; t < elastic_.tenant_count(); ++t) {
-      const std::uint64_t held =
-          count_bits(present_words, elastic_.lo(t), elastic_.hi(t));
-      SGXPL_CHECK_MSG(held == elastic_.resident(t),
-                      "elastic resident count for tenant "
-                          << t << " is " << elastic_.resident(t)
-                          << " but the page table holds " << held);
-    }
-    elastic_.check_conservation();
-  }
+  check_elastic();
+}
+
+void Driver::check_changed() const {
+  // Why checking only changed_ is exact: each per-page clause reads the
+  // page's present bit, slot, bitmap bit and the owner of that slot. The
+  // first three change only through PageTable::map/unmap and
+  // PresenceBitmap::set/clear, which report the page. A slot's owner
+  // changes only through Epc::allocate (reports the new owner) and
+  // Epc::release (reports the old owner, the one page whose slot clause
+  // it can break). The range clause's tenant_end() changes only in
+  // set_elastic_geometry(), which marks every page. Loads prove everything
+  // and restart the set. So a page outside changed_ still satisfies the
+  // clauses it satisfied at the last proof, and the ascending walk meets
+  // the full sweep's first violation.
+  // The counts are maintained by the same mutators. The sweep's third
+  // count, the recounted present bits, is PageTable::resident_count() by
+  // construction, so the first clause of check_counts() already covers it.
+  check_counts(bitmap_.count());
+  const PageNum end = tenant_end();
+  changed_.for_each([&](PageNum p) { check_page(p, end); });
+  check_elastic();
 }
 
 void DriverStats::save(snapshot::Writer& w) const {
@@ -1341,6 +1391,7 @@ void Driver::load_sections(snapshot::Reader& r) {
   backing_.load(r);
   r.leave_section();
   check_invariants();
+  changed_.clear();
 }
 
 void Driver::save_delta_sections(snapshot::Writer& w,
@@ -1396,6 +1447,7 @@ void Driver::apply_delta_sections(snapshot::Reader& r) {
     r.leave_section();
   }
   check_invariants();
+  changed_.clear();
 }
 
 snapshot::SectionGens Driver::section_gens() const {

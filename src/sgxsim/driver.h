@@ -72,9 +72,11 @@ struct EnclaveConfig {
   DemandPolicy demand_policy = DemandPolicy::kPreempt;
   /// EPC reclaim policy (the Intel driver uses a CLOCK-like sweep).
   EvictionKind eviction = EvictionKind::kClock;
-  /// Online watchdog: run check_invariants() every N service-thread scans
-  /// and at every chaos-injection boundary (0 = off). Each sweep is
-  /// O(ELRANGE/64 + resident pages).
+  /// Online watchdog: prove the driver's invariants every N service-thread
+  /// scans and at every chaos-injection boundary (0 = off). A check re-proves
+  /// only the pages changed since the previous one, O(changed pages); every
+  /// Driver::kFullSweepEvery-th check is the full O(ELRANGE/64 + resident
+  /// pages) sweep.
   std::uint64_t watchdog_scan_interval = 0;
   /// Overload hardening: queue bound, op deadlines, lost-completion retry.
   /// Defaults (unbounded, retries off) reproduce the seed behavior.
@@ -116,7 +118,7 @@ std::string overload_spec(const EnclaveConfig& cfg);
   X(evictions, "driver.evictions")                                          \
   X(scans, "driver.scans")                                                  \
   X(scan_stalls, "driver.scan_stalls") /* scans that overslept */           \
-  X(watchdog_checks, "driver.watchdog.checks") /* invariant sweeps run */   \
+  X(watchdog_checks, "driver.watchdog.checks") /* invariant checks run */   \
   X(bitmap_lies, "driver.bitmap_lies") /* bitmap reads chaos faked */       \
   X(squeeze_evictions, "driver.squeeze_evictions") /* EPC squeeze */        \
   X(preloads_shed, "channel.admission.shed") /* rejected by admission */    \
@@ -160,6 +162,9 @@ struct AccessOutcome {
 };
 
 class Driver {
+  // Tests and micro-benchmarks reach the state behind the checks.
+  friend class DriverTestPeer;
+
  public:
   Driver(const EnclaveConfig& config, const CostModel& costs,
          PreloadPolicy* policy = nullptr);
@@ -215,9 +220,16 @@ class Driver {
   const CostModel& costs() const noexcept { return costs_; }
 
   /// Invariant: page table residency, EPC occupancy, and bitmap population
-  /// all agree. Throws CheckFailure on violation; used by tests and by the
-  /// online watchdog (EnclaveConfig::watchdog_scan_interval).
+  /// all agree. Throws CheckFailure on violation. This is the full sweep:
+  /// tests, finish(), every snapshot load and every kFullSweepEvery-th
+  /// watchdog check run it; the other watchdog checks re-prove only the
+  /// pages changed since the previous check and report the same first
+  /// violation (EnclaveConfig::watchdog_scan_interval).
   void check_invariants() const;
+
+  /// Every this-many-th watchdog check (counted by stats().watchdog_checks,
+  /// which snapshots carry) is a full sweep rather than an incremental one.
+  static constexpr std::uint64_t kFullSweepEvery = 64;
 
   /// Lost-completion entries awaiting the retry sweep (hardened mode only;
   /// always empty otherwise). drain() settles these too.
@@ -321,10 +333,26 @@ class Driver {
   /// injector is squeezing it (clamped to [1, capacity]).
   PageNum effective_capacity(Cycles now) const;
 
-  /// Watchdog bookkeeping, called once per service-thread scan: runs
-  /// check_invariants() every watchdog_scan_interval scans, or immediately
-  /// when a chaos hook fired since the last sweep (injection boundary).
+  /// Watchdog bookkeeping, called once per service-thread scan: checks the
+  /// invariants every watchdog_scan_interval scans, or immediately when a
+  /// chaos hook fired since the last check (injection boundary).
   void watchdog_tick(Cycles now);
+
+  /// The incremental check: the aggregate clauses in O(1) (the elastic
+  /// per-tenant counts excepted) and check_page() on every page in changed_,
+  /// ascending. Exact only if the state was valid when changed_ was last
+  /// cleared.
+  void check_changed() const;
+  /// The clauses of both checks, shared so that both throw the same
+  /// message from the same place. `bitmap_count` is the bitmap's recounted
+  /// (full sweep) or maintained (incremental) population.
+  void check_counts(std::uint64_t bitmap_count) const;
+  /// Every per-page clause of page `p`, in order.
+  void check_page(PageNum p, PageNum tenant_end) const;
+  /// Per-tenant resident counts (word-parallel) and quota conservation.
+  void check_elastic() const;
+  /// End of the pages some tenant owns (the ELRANGE end unless elastic).
+  PageNum tenant_end() const;
 
   /// Schedule a load of `page` on the channel no earlier than `earliest`.
   const ChannelOp& schedule_load(PageNum page, Cycles earliest, OpKind kind,
@@ -468,6 +496,13 @@ class Driver {
   std::uint64_t ts_last_faults_ = 0;
   std::uint64_t ts_last_preloads_used_ = 0;
   std::uint64_t ts_last_preloads_completed_ = 0;
+
+  // Last: the access path reads none of it.
+  /// Pages whose residency, slot or bitmap bit changed since the watchdog's
+  /// last proof, reported by the page table, EPC and bitmap themselves
+  /// (attached only while the watchdog is on). Not serialized: a restore
+  /// proves the whole state with the full sweep and starts it empty.
+  DirtySet changed_;
 };
 
 }  // namespace sgxpl::sgxsim

@@ -1,7 +1,5 @@
 #include "sgxsim/epc.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "snapshot/codec.h"
 
@@ -10,7 +8,7 @@ namespace sgxpl::sgxsim {
 Epc::Epc(PageNum capacity_pages)
     : capacity_(capacity_pages),
       slot_to_page_(capacity_pages, kInvalidPage),
-      dirty_flag_(capacity_pages, false) {
+      dirty_(capacity_pages) {
   SGXPL_CHECK_MSG(capacity_pages > 0, "EPC must have at least one page");
   free_list_.reserve(capacity_pages);
   // Populate so that slot 0 is handed out first (pop from the back).
@@ -21,10 +19,7 @@ Epc::Epc(PageNum capacity_pages)
 
 void Epc::mark_dirty(SlotIndex slot) {
   ++gen_;
-  if (!dirty_flag_[slot]) {
-    dirty_flag_[slot] = true;
-    dirty_list_.push_back(slot);
-  }
+  dirty_.mark(slot);
 }
 
 SlotIndex Epc::allocate(PageNum page) {
@@ -35,6 +30,7 @@ SlotIndex Epc::allocate(PageNum page) {
   slot_to_page_[slot] = page;
   ++used_;
   mark_dirty(slot);
+  if (watch_ != nullptr) watch_->mark(page);
   return slot;
 }
 
@@ -42,6 +38,7 @@ void Epc::release(SlotIndex slot) {
   SGXPL_CHECK(slot < capacity_);
   SGXPL_CHECK_MSG(slot_to_page_[slot] != kInvalidPage,
                   "release of free slot " << slot);
+  if (watch_ != nullptr) watch_->mark(slot_to_page_[slot]);
   slot_to_page_[slot] = kInvalidPage;
   free_list_.push_back(slot);
   SGXPL_CHECK(used_ > 0);
@@ -132,17 +129,14 @@ void Epc::load(snapshot::Reader& r) {
   clock_hand_ = static_cast<SlotIndex>(hand);
   // Whole-EPC load: every slot is dirty until the next clear_dirty().
   ++gen_;
-  dirty_list_.clear();
-  for (std::uint64_t s = 0; s < capacity_; ++s) dirty_list_.push_back(s);
-  dirty_flag_.assign(capacity_, true);
+  dirty_.mark_all();
 }
 
 void Epc::save_delta(snapshot::Writer& w) const {
   w.u64("epc.capacity", capacity_);
   w.u64("epc.used", used_);
   w.u64("epc.clock_hand", clock_hand_);
-  std::vector<std::uint64_t> dirty = dirty_list_;
-  std::sort(dirty.begin(), dirty.end());
+  const std::vector<std::uint64_t> dirty = dirty_.indices();
   w.u64_vec("epc.delta_runs", snapshot::encode_runs(dirty));
   std::vector<std::uint64_t> pages;
   pages.reserve(dirty.size());
@@ -186,9 +180,6 @@ void Epc::apply_delta(snapshot::Reader& r) {
   clock_hand_ = static_cast<SlotIndex>(hand);
 }
 
-void Epc::clear_dirty() {
-  for (const std::uint64_t s : dirty_list_) dirty_flag_[s] = false;
-  dirty_list_.clear();
-}
+void Epc::clear_dirty() { dirty_.clear(); }
 
 }  // namespace sgxpl::sgxsim

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/dirty_set.h"
 #include "common/types.h"
 #include "sgxsim/page_table.h"
 #include "snapshot/fwd.h"
@@ -35,6 +36,11 @@ class Epc {
   /// Release the slot holding `page_in_slot` (after the page table unmapped
   /// it).
   void release(SlotIndex slot);
+
+  /// Report the pages whose slot ownership allocate()/release() changes into
+  /// `changed` (not owned; nullptr detaches): the page allocated for, and
+  /// the page a released slot held.
+  void watch(DirtySet* changed) noexcept { watch_ = changed; }
 
   /// Page currently held by a slot (kInvalidPage if free).
   PageNum page_at(SlotIndex slot) const {
@@ -81,8 +87,10 @@ class Epc {
   std::vector<SlotIndex> free_list_;
   SlotIndex clock_hand_ = 0;
   std::uint64_t gen_ = 0;
-  std::vector<std::uint64_t> dirty_list_;
-  std::vector<bool> dirty_flag_;
+  /// Slot-indexed.
+  DirtySet dirty_;
+  /// Page-indexed.
+  DirtySet* watch_ = nullptr;
 };
 
 }  // namespace sgxpl::sgxsim

@@ -1,7 +1,5 @@
 #include "sgxsim/page_table.h"
 
-#include <algorithm>
-
 #include "snapshot/codec.h"
 
 namespace sgxpl::sgxsim {
@@ -9,16 +7,13 @@ namespace sgxpl::sgxsim {
 PageTable::PageTable(PageNum elrange_pages)
     : size_(elrange_pages), entries_(elrange_pages),
       present_((elrange_pages + 63) / 64, 0),
-      dirty_flag_(elrange_pages, false) {
+      dirty_(elrange_pages) {
   SGXPL_CHECK_MSG(elrange_pages > 0, "ELRANGE must contain at least one page");
 }
 
 void PageTable::mark_dirty(PageNum page) {
   ++gen_;
-  if (!dirty_flag_[page]) {
-    dirty_flag_[page] = true;
-    dirty_list_.push_back(page);
-  }
+  dirty_.mark(page);
 }
 
 void PageTable::map(PageNum page, SlotIndex slot, bool via_preload) {
@@ -30,6 +25,7 @@ void PageTable::map(PageNum page, SlotIndex slot, bool via_preload) {
   e.preloaded = via_preload;
   ++resident_;
   mark_dirty(page);
+  if (watch_ != nullptr) watch_->mark(page);
 }
 
 PageTableEntry PageTable::unmap(PageNum page) {
@@ -41,6 +37,7 @@ PageTableEntry PageTable::unmap(PageNum page) {
   SGXPL_CHECK(resident_ > 0);
   --resident_;
   mark_dirty(page);
+  if (watch_ != nullptr) watch_->mark(page);
   return prior;
 }
 
@@ -109,17 +106,13 @@ void PageTable::load(snapshot::Reader& r) {
   // A whole-table load invalidates any delta baseline a caller may hold;
   // treat every page as dirty until the next clear_dirty().
   ++gen_;
-  dirty_list_.clear();
-  dirty_list_.reserve(entries_.size());
-  for (std::uint64_t p = 0; p < size_; ++p) dirty_list_.push_back(p);
-  dirty_flag_.assign(entries_.size(), true);
+  dirty_.mark_all();
 }
 
 void PageTable::save_delta(snapshot::Writer& w) const {
   w.u64("pt.pages", size_);
   w.u64("pt.resident", resident_);
-  std::vector<std::uint64_t> dirty = dirty_list_;
-  std::sort(dirty.begin(), dirty.end());
+  const std::vector<std::uint64_t> dirty = dirty_.indices();
   w.u64_vec("pt.delta_runs", snapshot::encode_runs(dirty));
   std::vector<std::uint64_t> packed;
   packed.reserve(dirty.size());
@@ -160,9 +153,6 @@ void PageTable::apply_delta(snapshot::Reader& r) {
                       << resident);
 }
 
-void PageTable::clear_dirty() {
-  for (const std::uint64_t page : dirty_list_) dirty_flag_[page] = false;
-  dirty_list_.clear();
-}
+void PageTable::clear_dirty() { dirty_.clear(); }
 
 }  // namespace sgxpl::sgxsim

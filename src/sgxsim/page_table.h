@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/dirty_set.h"
 #include "common/types.h"
 #include "snapshot/fwd.h"
 
@@ -54,6 +55,11 @@ class PageTable {
   /// Record that `page` was evicted. Returns the entry state at eviction so
   /// the caller can account (e.g. evicted-while-preloaded-and-unused).
   PageTableEntry unmap(PageNum page);
+
+  /// Report every page whose residency or slot map()/unmap() changes into
+  /// `changed` (not owned; nullptr detaches). The access and preloaded bits
+  /// are not reported: the driver's invariants do not read them.
+  void watch(DirtySet* changed) noexcept { watch_ = changed; }
 
   /// Hardware access-bit set on a regular access. Returns true if this is
   /// the first access since the page was (pre)loaded. Inline: the driver's
@@ -109,8 +115,8 @@ class PageTable {
   std::vector<std::uint64_t> present_;
   std::uint64_t resident_ = 0;
   std::uint64_t gen_ = 0;
-  std::vector<std::uint64_t> dirty_list_;
-  std::vector<bool> dirty_flag_;
+  DirtySet dirty_;
+  DirtySet* watch_ = nullptr;
 };
 
 }  // namespace sgxpl::sgxsim

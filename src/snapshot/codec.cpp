@@ -10,6 +10,11 @@
 #include <unistd.h>
 #endif
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define SGXPL_HAVE_CRC32C_SSE42 1
+#endif
+
 #include "common/check.h"
 
 namespace sgxpl::snapshot {
@@ -74,7 +79,49 @@ std::string quoted(std::string_view s) {
 
 }  // namespace
 
+#ifdef SGXPL_HAVE_CRC32C_SSE42
+namespace {
+
+// The SSE4.2 crc32 instruction computes the same reflected Castagnoli CRC
+// eight bytes per instruction; a serial loop is already well above the
+// rate the codec feeds it.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    const std::uint8_t* data, std::size_t len) noexcept {
+  std::uint64_t crc = 0xFFFFFFFFu;
+  for (; len >= 8; data += 8, len -= 8) {
+    crc = _mm_crc32_u64(crc, load_le<std::uint64_t>(data));
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; len > 0; ++data, --len) {
+    crc32 = _mm_crc32_u8(crc32, *data);
+  }
+  return crc32 ^ 0xFFFFFFFFu;
+}
+
+}  // namespace
+#endif
+
+bool crc32c_uses_sse42() noexcept {
+#ifdef SGXPL_HAVE_CRC32C_SSE42
+  static const bool supported =
+      (__builtin_cpu_init(), __builtin_cpu_supports("sse4.2") != 0);
+  return supported;
+#else
+  return false;
+#endif
+}
+
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t len) noexcept {
+#ifdef SGXPL_HAVE_CRC32C_SSE42
+  if (crc32c_uses_sse42()) {
+    return crc32c_sse42(data, len);
+  }
+#endif
+  return crc32c_portable(data, len);
+}
+
+std::uint32_t crc32c_portable(const std::uint8_t* data,
+                              std::size_t len) noexcept {
   const Crc32cTables& t = kCrc32cTables;
   std::uint32_t crc = 0xFFFFFFFFu;
   for (; len >= 8; data += 8, len -= 8) {

@@ -37,9 +37,18 @@ namespace sgxpl::snapshot {
 inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::string_view kMagic = "SGXPLSNP";
 
-/// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), portable
-/// slicing-by-8 software tables.
+/// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected). Uses the SSE4.2
+/// crc32 instruction when the CPU has it (checked once), otherwise
+/// crc32c_portable().
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t len) noexcept;
+
+/// The same CRC from slicing-by-8 software tables: the fallback of crc32c()
+/// and the oracle its hardware path is tested against.
+std::uint32_t crc32c_portable(const std::uint8_t* data,
+                              std::size_t len) noexcept;
+
+/// True when crc32c() runs on the SSE4.2 instruction.
+bool crc32c_uses_sse42() noexcept;
 
 enum class FieldType : std::uint8_t {
   kU64 = 1,

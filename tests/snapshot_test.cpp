@@ -14,6 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <string>
@@ -97,11 +98,55 @@ TEST(SnapshotCodec, Crc32cSlicingMatchesABytewiseReference) {
   }
   for (std::size_t offset = 0; offset < 8; ++offset) {
     for (std::size_t len = 0; len <= 1024; ++len) {
-      ASSERT_EQ(snapshot::crc32c(buf.data() + offset, len),
+      ASSERT_EQ(snapshot::crc32c_portable(buf.data() + offset, len),
                 reference(buf.data() + offset, len))
           << "offset " << offset << " length " << len;
     }
   }
+}
+
+// crc32c() runs on the SSE4.2 instruction wherever the CPU has it; the
+// slicing-by-8 path is its oracle. Every length 0..4096 at every alignment
+// covers the 8-byte loop, the byte tail and unaligned loads.
+TEST(SnapshotCodec, Crc32cDispatchMatchesSlicingOnRandomBuffers) {
+  Rng rng(0x55E42);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (auto& b : buf) {
+    b = static_cast<std::uint8_t>(rng.next());
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(snapshot::crc32c(buf.data() + offset, len),
+                snapshot::crc32c_portable(buf.data() + offset, len))
+          << "offset " << offset << " length " << len
+          << (snapshot::crc32c_uses_sse42() ? " (sse4.2)" : " (portable)");
+    }
+  }
+}
+
+TEST(SnapshotCodec, Crc32cDispatchMatchesSlicingOnTheGoldenCorpus) {
+  std::size_t frames = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(SGXPL_GOLDEN_DIR) + "/v2")) {
+    const std::string name = entry.path().filename().string();
+    const std::vector<std::uint8_t> bytes =
+        snapshot::read_file(entry.path().string());
+    ASSERT_GT(bytes.size(), 8u) << name;
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      EXPECT_EQ(snapshot::crc32c(bytes.data() + offset, bytes.size() - offset),
+                snapshot::crc32c_portable(bytes.data() + offset,
+                                          bytes.size() - offset))
+          << name << " from byte " << offset;
+    }
+    for (const snapshot::SectionSpan& span : snapshot::section_spans(bytes)) {
+      EXPECT_EQ(snapshot::crc32c(bytes.data() + span.offset, span.size),
+                snapshot::crc32c_portable(bytes.data() + span.offset,
+                                          span.size))
+          << name << " section " << span.tag;
+    }
+    ++frames;
+  }
+  EXPECT_GE(frames, 8u);
 }
 
 TEST(SnapshotCodec, RoundTripsEveryFieldType) {
